@@ -37,6 +37,12 @@ struct KbStats {
     entity_evictions: Arc<Gauge>,
 }
 
+/// The footprint one stored entry is charged in
+/// [`KnowledgeBase::state_bytes`].
+fn entry_bytes(encoded: &str, wire: &str) -> usize {
+    encoded.len() + wire.len() + 48
+}
+
 /// A change to the Knowledge Base, consumed by the Module Manager to
 /// decide module activation (paper: "the Knowledge Base will in turn
 /// notify the Module Manager that recent changes ... might require
@@ -77,6 +83,9 @@ pub struct ChangeEvent {
 pub struct KnowledgeBase {
     local: KalisId,
     entries: BTreeMap<String, String>,
+    /// Running [`KnowledgeBase::state_bytes`] total over `entries`, kept
+    /// in step with every insert, removal and purge.
+    entry_bytes: usize,
     collective: BTreeSet<String>,
     dirty_collective: BTreeSet<String>,
     changes: Vec<ChangeEvent>,
@@ -107,6 +116,7 @@ impl KnowledgeBase {
         KnowledgeBase {
             local,
             entries: BTreeMap::new(),
+            entry_bytes: 0,
             collective: BTreeSet::new(),
             dirty_collective: BTreeSet::new(),
             changes: Vec::new(),
@@ -227,7 +237,10 @@ impl KnowledgeBase {
                     self.attribution.remove(&encoded);
                 }
             }
-            self.entries.insert(encoded.clone(), wire);
+            self.entry_bytes += entry_bytes(&encoded, &wire);
+            if let Some(old) = self.entries.insert(encoded.clone(), wire) {
+                self.entry_bytes -= entry_bytes(&encoded, &old);
+            }
             self.revision += 1;
             if self.collective.contains(&encoded) {
                 self.dirty_collective.insert(encoded.clone());
@@ -267,6 +280,7 @@ impl KnowledgeBase {
             let Some(old) = self.entries.remove(encoded) else {
                 continue;
             };
+            self.entry_bytes -= entry_bytes(encoded, &old);
             self.revision += 1;
             self.collective.remove(encoded);
             self.dirty_collective.remove(encoded);
@@ -443,6 +457,7 @@ impl KnowledgeBase {
     fn remove_key(&mut self, key: KnowKey) -> bool {
         let encoded = key.encode();
         if let Some(old) = self.entries.remove(&encoded) {
+            self.entry_bytes -= entry_bytes(&encoded, &old);
             self.revision += 1;
             self.collective.remove(&encoded);
             self.dirty_collective.remove(&encoded);
@@ -575,11 +590,9 @@ impl KnowledgeBase {
     }
 
     /// Rough live-memory footprint (the RAM-usage proxy for experiments).
+    /// O(1): the total is maintained as entries change.
     pub fn state_bytes(&self) -> usize {
-        self.entries
-            .iter()
-            .map(|(k, v)| k.len() + v.len() + 48)
-            .sum()
+        self.entry_bytes
     }
 
     /// Drain the change log accumulated since the last call.
@@ -965,5 +978,62 @@ mod tests {
         let r2 = kb.revision();
         assert!(r1 > r0);
         assert_eq!(r1, r2);
+    }
+
+    /// The state charge a fresh walk over the stored entries gives.
+    fn walked_state_bytes(kb: &KnowledgeBase) -> usize {
+        kb.entries.iter().map(|(k, v)| entry_bytes(k, v)).sum()
+    }
+
+    proptest::proptest! {
+        /// The running state total equals a fresh walk after any mix of
+        /// local and remote writes, removals, budget purges and budget
+        /// shrinks.
+        #[test]
+        fn running_state_total_matches_a_walk(
+            ops in proptest::collection::vec((0u8..8, 0u8..6, 0u8..12, 0i64..100_000), 1..200),
+        ) {
+            let mut kb = kb();
+            kb.set_entity_budget(6);
+            let k2 = KalisId::new("K2");
+            for (op, label, entity, n) in ops {
+                let label = ["Multihop", "A", "SignalStrength", "TrafficFrequency.UDP", "X", "Suspicious"]
+                    [usize::from(label)];
+                let entity = Entity::new(format!("E{entity}"));
+                // Values of different wire lengths, so a rewrite of an
+                // existing key changes its charge.
+                let value = if n % 3 == 0 {
+                    KnowValue::Text("v".repeat((n % 17) as usize))
+                } else {
+                    KnowValue::Int(n)
+                };
+                match op {
+                    0 => {
+                        kb.insert(label, value);
+                    }
+                    1 => {
+                        kb.insert_about(label, entity, value);
+                    }
+                    2 => {
+                        kb.remove(label);
+                    }
+                    3 => {
+                        kb.remove_about(label, &entity);
+                    }
+                    4 => kb.set_entity_budget(1 + (n % 8) as usize),
+                    5 => {
+                        kb.insert_about_collective(label, entity, value);
+                    }
+                    6 => {
+                        let _ = kb.accept_remote(&k2, Knowgget::new(label, value, k2.clone()));
+                    }
+                    _ => {
+                        let remote = Knowgget::about(label, value, k2.clone(), entity);
+                        let _ = kb.accept_remote(&k2, remote);
+                    }
+                }
+                proptest::prop_assert_eq!(kb.state_bytes(), walked_state_bytes(&kb));
+            }
+        }
     }
 }

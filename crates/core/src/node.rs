@@ -839,7 +839,10 @@ impl Kalis {
         self.maybe_tick(now);
         let shed = self.observe_arrival(now);
         self.store.push(packet);
-        let packet = self.store.window().last().cloned().expect("just pushed");
+        // Dispatch from the stored packet itself: the borrow of `store`
+        // is disjoint from the fields dispatch mutates and ends before
+        // `after_dispatch`.
+        let packet = self.store.latest().expect("just pushed");
         if let Some(ops) = &mut self.ops {
             if ops.started_us.is_none() {
                 ops.started_us = Some(now.as_micros());
@@ -860,7 +863,7 @@ impl Kalis {
             kb: &mut self.kb,
             alerts: &mut self.alerts,
         };
-        let outcome = self.manager.dispatch_packet_shed(&mut ctx, &packet, shed);
+        let outcome = self.manager.dispatch_packet_shed(&mut ctx, packet, shed);
         self.overload.episode_skipped += outcome.modules_shed;
         #[cfg(feature = "telemetry")]
         self.stats.work.add(outcome.work_units());
@@ -1489,7 +1492,7 @@ impl Kalis {
         }
         let packet = self.current_packet_seq.map(|seq| PacketRef {
             seq,
-            summary: self.store.window().last().map_or_else(String::new, |p| {
+            summary: self.store.latest().map_or_else(String::new, |p| {
                 format!("medium={:?} bytes={}", p.medium, p.raw.len())
             }),
         });

@@ -29,6 +29,14 @@ pub struct TopologyDiscoveryModule {
     multihop_evidence: bool,
     entity_budget: usize,
     transmitters: BoundedMap<String, ()>,
+    /// Running sum of [`transmitter_bytes`] over `transmitters`, so
+    /// [`Module::state_bytes`] never walks the map.
+    transmitter_bytes: usize,
+}
+
+/// The footprint one remembered transmitter is charged.
+fn transmitter_bytes(tx: &str) -> usize {
+    tx.len() + 32
 }
 
 impl Default for TopologyDiscoveryModule {
@@ -58,6 +66,7 @@ impl TopologyDiscoveryModule {
             multihop_evidence: false,
             entity_budget,
             transmitters: BoundedMap::new(entity_budget),
+            transmitter_bytes: 0,
         }
     }
 
@@ -109,7 +118,10 @@ impl Module for TopologyDiscoveryModule {
         if let Some(tx) = pkt.transmitter() {
             let key = tx.as_str().to_owned();
             if self.transmitters.get_mut(&key).is_none() {
-                self.transmitters.insert(key, ());
+                self.transmitter_bytes += transmitter_bytes(&key);
+                if let Some((evicted, ())) = self.transmitters.insert(key, ()) {
+                    self.transmitter_bytes -= transmitter_bytes(&evicted);
+                }
                 ctx.kb
                     .insert(labels::MONITORED_NODES, self.transmitters.len() as i64);
             }
@@ -191,11 +203,7 @@ impl Module for TopologyDiscoveryModule {
     }
 
     fn state_bytes(&self) -> usize {
-        128 + self
-            .transmitters
-            .iter()
-            .map(|(t, _)| t.len() + 32)
-            .sum::<usize>()
+        128 + self.transmitter_bytes
     }
 
     fn occupancy(&self) -> usize {
@@ -218,6 +226,7 @@ impl Module for TopologyDiscoveryModule {
         self.frames_seen = 0;
         self.multihop_evidence = false;
         self.transmitters.clear();
+        self.transmitter_bytes = 0;
     }
 }
 
@@ -408,5 +417,51 @@ mod tests {
             );
         }
         assert_eq!(kb.get_int(labels::MONITORED_NODES), Some(3));
+    }
+
+    /// The state charge a fresh walk over the transmitter map gives.
+    fn walked_state_bytes(module: &TopologyDiscoveryModule) -> usize {
+        128 + module
+            .transmitters
+            .iter()
+            .map(|(t, _)| transmitter_bytes(t))
+            .sum::<usize>()
+    }
+
+    proptest::proptest! {
+        /// The running transmitter total equals a fresh walk after any
+        /// sequence of new, repeated and evicting transmitters (and
+        /// resets).
+        #[test]
+        fn running_state_total_matches_a_walk(
+            addrs in proptest::collection::vec(0u16..3000, 1..200),
+            budget in 16usize..24,
+        ) {
+            let mut module = TopologyDiscoveryModule::new().with_entity_budget(budget);
+            let mut kb = kb();
+            for addr in addrs {
+                if addr < 20 {
+                    module.reset();
+                } else {
+                    // Short and long transmitter names: sub-100 addresses
+                    // repeat, the rest mostly overflow the budget.
+                    let addr = if addr < 2000 { addr % 100 + 2 } else { addr };
+                    feed(
+                        &mut module,
+                        &mut kb,
+                        kalis_netsim::craft::zigbee_data(
+                            ShortAddr(addr),
+                            ShortAddr(1),
+                            0,
+                            ShortAddr(addr),
+                            ShortAddr(1),
+                            0,
+                            b"x",
+                        ),
+                    );
+                }
+                proptest::prop_assert_eq!(module.state_bytes(), walked_state_bytes(&module));
+            }
+        }
     }
 }

@@ -43,8 +43,16 @@ impl Default for WindowConfig {
 pub struct DataStore {
     config: WindowConfig,
     window: VecDeque<CapturedPacket>,
+    /// Running [`DataStore::state_bytes`] total, kept in step with every
+    /// push and eviction so reading it never walks the window.
+    window_bytes: usize,
     log: Option<Box<dyn Write + Send>>,
     logged: u64,
+}
+
+/// The footprint one stored packet is charged in [`DataStore::state_bytes`].
+fn packet_bytes(packet: &CapturedPacket) -> usize {
+    packet.raw.len() + packet.interface.len() + 96
 }
 
 impl DataStore {
@@ -58,6 +66,7 @@ impl DataStore {
         DataStore {
             config,
             window: VecDeque::new(),
+            window_bytes: 0,
             log: None,
             logged: 0,
         }
@@ -98,18 +107,19 @@ impl DataStore {
             );
             self.logged += 1;
         }
+        self.window_bytes += packet_bytes(&packet);
         self.window.push_back(packet);
         self.evict();
     }
 
     fn evict(&mut self) {
         while self.window.len() > self.config.max_packets {
-            self.window.pop_front();
+            self.pop_oldest();
         }
         if let Some(newest) = self.window.back().map(|p| p.timestamp) {
             while let Some(front) = self.window.front() {
                 if newest.saturating_since(front.timestamp) > self.config.max_age {
-                    self.window.pop_front();
+                    self.pop_oldest();
                 } else {
                     break;
                 }
@@ -117,9 +127,20 @@ impl DataStore {
         }
     }
 
+    fn pop_oldest(&mut self) {
+        if let Some(packet) = self.window.pop_front() {
+            self.window_bytes -= packet_bytes(&packet);
+        }
+    }
+
     /// Packets currently in the window, oldest first.
     pub fn window(&self) -> impl Iterator<Item = &CapturedPacket> {
         self.window.iter()
+    }
+
+    /// The most recently pushed packet still in the window.
+    pub fn latest(&self) -> Option<&CapturedPacket> {
+        self.window.back()
     }
 
     /// Packets in the window newer than `since`.
@@ -149,12 +170,10 @@ impl DataStore {
         self.logged
     }
 
-    /// Rough live-memory footprint of the window (RAM proxy).
+    /// Rough live-memory footprint of the window (RAM proxy). O(1): the
+    /// total is maintained as packets enter and leave the window.
     pub fn state_bytes(&self) -> usize {
-        self.window
-            .iter()
-            .map(|p| p.raw.len() + p.interface.len() + 96)
-            .sum()
+        self.window_bytes
     }
 }
 
@@ -261,5 +280,34 @@ mod tests {
         let one = store.state_bytes();
         store.push(cap(2));
         assert!(store.state_bytes() > one);
+    }
+
+    proptest::proptest! {
+        /// The running state total equals a fresh walk after any mix of
+        /// count- and age-evicting pushes.
+        #[test]
+        fn running_state_total_matches_a_walk(
+            pushes in proptest::collection::vec((0u64..4_000, 0usize..64, 0usize..12), 1..300),
+            max_packets in 1usize..40,
+            max_age_ms in 1u64..20_000,
+        ) {
+            let mut store = DataStore::with_config(WindowConfig {
+                max_packets,
+                max_age: core::time::Duration::from_millis(max_age_ms),
+            });
+            let mut now = 0u64;
+            for (gap_ms, raw_len, iface_len) in pushes {
+                now += gap_ms;
+                store.push(CapturedPacket::capture(
+                    Timestamp::from_millis(now),
+                    Medium::Wifi,
+                    None,
+                    "w".repeat(iface_len),
+                    Bytes::from(vec![0u8; raw_len]),
+                ));
+                let walked: usize = store.window().map(packet_bytes).sum();
+                proptest::prop_assert_eq!(store.state_bytes(), walked);
+            }
+        }
     }
 }
