@@ -4,12 +4,11 @@
 
 use kalis_core::taxonomy::{relation, Feature, Relation};
 use kalis_core::AttackKind;
-use kalis_telemetry::{names, TelemetrySnapshot};
+use kalis_telemetry::{json::quote, names, TelemetrySnapshot};
 
-#[cfg(feature = "telemetry")]
-use crate::experiments::DiagOverheadResult;
 use crate::experiments::{
-    OpsOverheadResult, ScenarioResult, StateExhaustionResult, Table2, TracingOverheadResult,
+    DiagOverheadResult, OpsOverheadResult, ScenarioResult, StateExhaustionResult, Table2,
+    TracingOverheadResult,
 };
 
 /// Format a ratio as a percentage.
@@ -204,22 +203,6 @@ pub fn render_telemetry(snapshot: &TelemetrySnapshot) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render the tracing-overhead comparison.
 pub fn render_tracing_overhead(result: &TracingOverheadResult) -> String {
     format!(
@@ -252,7 +235,6 @@ pub fn render_ops_overhead(result: &OpsOverheadResult) -> String {
 }
 
 /// Render the flight-recorder overhead + determinism comparison.
-#[cfg(feature = "telemetry")]
 pub fn render_diag_overhead(result: &DiagOverheadResult) -> String {
     format!(
         "flight-recorder overhead ({} packets, ABBA on-CPU time):\n\
@@ -279,13 +261,12 @@ pub fn render_diag_overhead(result: &DiagOverheadResult) -> String {
 /// Build the machine-readable flight-recorder report (`BENCH_8.json`):
 /// the off/on throughput comparison plus the chaos leg's capture count
 /// and the determinism verdict on its `kalis.diag.v1` bundles.
-#[cfg(feature = "telemetry")]
 pub fn diag_json(result: &DiagOverheadResult) -> String {
     format!(
         "{{\n  \"packets\": {},\n  \"off_pps\": {:.2},\n  \"on_pps\": {:.2},\n  \
          \"overhead_pct\": {:.4},\n  \"median_overhead_pct\": {:.4},\n  \
          \"captures\": {},\n  \"bundles\": {},\n  \
-         \"bundle_bytes\": {},\n  \"last_trigger\": \"{}\",\n  \
+         \"bundle_bytes\": {},\n  \"last_trigger\": {},\n  \
          \"bundles_valid\": {},\n  \"deterministic\": {}\n}}\n",
         result.packets,
         result.off_pps,
@@ -295,7 +276,7 @@ pub fn diag_json(result: &DiagOverheadResult) -> String {
         result.captures,
         result.bundles,
         result.bundle_bytes,
-        json_escape(&result.last_trigger),
+        quote(&result.last_trigger),
         result.bundles_valid,
         result.deterministic,
     )
@@ -369,8 +350,8 @@ pub fn exhaustion_json(result: &StateExhaustionResult) -> String {
     out.push_str("  \"modules\": [\n");
     for (i, row) in result.modules.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"module\": \"{}\", \"occupancy\": {}, \"budget\": {}, \"evictions\": {}}}",
-            json_escape(row.name),
+            "    {{\"module\": {}, \"occupancy\": {}, \"budget\": {}, \"evictions\": {}}}",
+            quote(row.name),
             row.occupancy,
             row.budget,
             row.evictions,
@@ -398,9 +379,9 @@ pub fn bench_json(
     let rows = table.rows();
     for (i, row) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"system\": \"{}\", \"detection_rate\": {:.4}, \"accuracy\": {:.4}, \
+            "    {{\"system\": {}, \"detection_rate\": {:.4}, \"accuracy\": {:.4}, \
              \"work_per_packet\": {:.4}, \"peak_state_bytes\": {}, \"fully_applicable\": {}}}",
-            json_escape(row.name),
+            quote(row.name),
             row.detection_rate,
             row.accuracy,
             row.work_per_packet,

@@ -58,7 +58,7 @@ pub struct RunOutcome {
     pub revocations: Vec<Revocation>,
     /// Full telemetry snapshot (per-stage latency histograms, KB churn,
     /// journal) — `None` for systems without a telemetry registry
-    /// (Snort), empty when instrumentation is compiled out.
+    /// (Snort).
     pub telemetry: Option<TelemetrySnapshot>,
 }
 

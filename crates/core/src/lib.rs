@@ -67,7 +67,7 @@ pub use alert::{Alert, AttackKind, Severity};
 pub use error::KalisError;
 pub use id::KalisId;
 pub use kalis_telemetry::{
-    AlertProvenance, EvidenceKnowgget, PacketRef, SampleRate, TraceContext, TraceRef, Tracer,
+    json, AlertProvenance, EvidenceKnowgget, PacketRef, SampleRate, TraceContext, TraceRef, Tracer,
 };
 pub use knowledge::{
     CollectiveSync, KnowKey, KnowValue, Knowgget, KnowggetOrigin, KnowledgeBase, PeerHealth,

@@ -13,11 +13,8 @@ use crate::knowledge::KnowledgeBase;
 use super::supervisor::{ModuleHealth, ShedMode, Supervision, SupervisorConfig, SupervisorVerdict};
 use super::{Module, ModuleCtx, ModuleKind, ModuleWeight};
 
-use kalis_telemetry::Telemetry;
-#[cfg(feature = "telemetry")]
-use kalis_telemetry::{metric_name, names, Counter, Gauge, Histogram, JournalEvent};
+use kalis_telemetry::{metric_name, names, Counter, Gauge, Histogram, JournalEvent, Telemetry};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-#[cfg(feature = "telemetry")]
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -41,34 +38,25 @@ struct Slot {
     sheds: u64,
     /// Cached per-module dispatch latency series (`dispatch.packet` /
     /// `dispatch.tick`), populated once telemetry is attached.
-    #[cfg(feature = "telemetry")]
     packet_hist: Option<Arc<Histogram>>,
-    #[cfg(feature = "telemetry")]
     tick_hist: Option<Arc<Histogram>>,
     /// Per-module `supervisor.shed[module=...]` counter.
-    #[cfg(feature = "telemetry")]
     shed_counter: Option<Arc<Counter>>,
     /// Per-module `module.cpu_ns[module=...]` counter.
-    #[cfg(feature = "telemetry")]
     cpu_counter: Option<Arc<Counter>>,
     /// Per-module `module.occupancy[module=...]` gauge, refreshed by
     /// [`ModuleManager::publish_profiles`].
-    #[cfg(feature = "telemetry")]
     occupancy_gauge: Option<Arc<Gauge>>,
     /// Per-module `module.evictions[module=...]` gauge (a gauge, not a
     /// counter: a module reset legitimately returns it to zero).
-    #[cfg(feature = "telemetry")]
     evictions_gauge: Option<Arc<Gauge>>,
     /// Per-module `module.state_budget[module=...]` gauge.
-    #[cfg(feature = "telemetry")]
     budget_gauge: Option<Arc<Gauge>>,
     /// Per-module `module.work_units[module=...]` gauge.
-    #[cfg(feature = "telemetry")]
     work_gauge: Option<Arc<Gauge>>,
 }
 
 /// Cached instrument handles for the manager itself.
-#[cfg(feature = "telemetry")]
 #[derive(Clone)]
 struct ManagerTele {
     registry: Arc<Telemetry>,
@@ -167,10 +155,8 @@ pub struct ModuleManager {
     deactivations: u64,
     supervisor: SupervisorConfig,
     stats: SupervisorStats,
-    #[cfg(feature = "telemetry")]
     tele: Option<ManagerTele>,
     /// Dispatch sequence number driving latency sampling.
-    #[cfg(feature = "telemetry")]
     dispatch_seq: u64,
 }
 
@@ -180,7 +166,6 @@ pub struct ModuleManager {
 /// common path while the histograms stay statistically representative.
 /// (When a watchdog budget is configured, every dispatch is timed
 /// regardless — the budget check cannot sample.)
-#[cfg(feature = "telemetry")]
 const DISPATCH_SAMPLE_MASK: u64 = 7;
 
 /// Human-readable panic payload for the journal.
@@ -217,9 +202,7 @@ impl ModuleManager {
             deactivations: 0,
             supervisor: SupervisorConfig::default(),
             stats: SupervisorStats::default(),
-            #[cfg(feature = "telemetry")]
             tele: None,
-            #[cfg(feature = "telemetry")]
             dispatch_seq: 0,
         }
     }
@@ -266,24 +249,15 @@ impl ModuleManager {
             cpu_ns: 0,
             dispatches: 0,
             sheds: 0,
-            #[cfg(feature = "telemetry")]
             packet_hist: None,
-            #[cfg(feature = "telemetry")]
             tick_hist: None,
-            #[cfg(feature = "telemetry")]
             shed_counter: None,
-            #[cfg(feature = "telemetry")]
             cpu_counter: None,
-            #[cfg(feature = "telemetry")]
             occupancy_gauge: None,
-            #[cfg(feature = "telemetry")]
             evictions_gauge: None,
-            #[cfg(feature = "telemetry")]
             budget_gauge: None,
-            #[cfg(feature = "telemetry")]
             work_gauge: None,
         });
-        #[cfg(feature = "telemetry")]
         if let Some(t) = &self.tele {
             let registry = Arc::clone(&t.registry);
             if let Some(slot) = self.slots.last_mut() {
@@ -296,7 +270,6 @@ impl ModuleManager {
     /// Attach a telemetry registry: per-module dispatch latency is
     /// recorded from now on, and [`ModuleManager::reconfigure_traced`]
     /// journals every activation flip.
-    #[cfg(feature = "telemetry")]
     pub fn set_telemetry(&mut self, registry: &Arc<Telemetry>) {
         let tele = ManagerTele {
             registry: Arc::clone(registry),
@@ -316,12 +289,6 @@ impl ModuleManager {
         self.tele = Some(tele);
     }
 
-    /// Attach a telemetry registry (no-op: the `telemetry` feature is
-    /// disabled, so there is nothing to record into).
-    #[cfg(not(feature = "telemetry"))]
-    pub fn set_telemetry(&mut self, _registry: &std::sync::Arc<Telemetry>) {}
-
-    #[cfg(feature = "telemetry")]
     fn slot_instruments(slot: &mut Slot, registry: &Telemetry) {
         let name = slot.module.descriptor().name;
         slot.packet_hist =
@@ -368,8 +335,6 @@ impl ModuleManager {
         trigger: &str,
         time_us: u64,
     ) -> (usize, usize) {
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (trigger, time_us);
         if !self.adaptive {
             return (0, 0);
         }
@@ -389,7 +354,6 @@ impl ModuleManager {
                 slot.active = true;
                 activated += 1;
                 self.activations += 1;
-                #[cfg(feature = "telemetry")]
                 if let Some(t) = &self.tele {
                     t.activated.inc();
                     t.registry.journal().record(
@@ -404,7 +368,6 @@ impl ModuleManager {
                 slot.active = false;
                 deactivated += 1;
                 self.deactivations += 1;
-                #[cfg(feature = "telemetry")]
                 if let Some(t) = &self.tele {
                     t.deactivated.inc();
                     t.registry.journal().record(
@@ -417,7 +380,6 @@ impl ModuleManager {
                 }
             }
         }
-        #[cfg(feature = "telemetry")]
         if activated + deactivated > 0 {
             if let Some(t) = &self.tele {
                 t.active.set(self.active_count() as u64);
@@ -448,13 +410,10 @@ impl ModuleManager {
         let mut outcome = DispatchOutcome::default();
         let cfg = &self.supervisor;
         let budget = cfg.budget;
-        #[cfg(feature = "telemetry")]
         let sampled = {
             self.dispatch_seq = self.dispatch_seq.wrapping_add(1);
             self.tele.is_some() && self.dispatch_seq & DISPATCH_SAMPLE_MASK == 0
         };
-        #[cfg(not(feature = "telemetry"))]
-        let sampled = false;
         // kalis-lint: allow(KL302): measures real CPU cost for the supervisor budget
         let mut prev = (sampled || budget.is_some()).then(Instant::now);
         let mut quarantine_flips: u64 = 0;
@@ -467,7 +426,6 @@ impl ModuleManager {
             if slot.supervision.is_quarantined() {
                 if slot.supervision.try_release(ctx.now, cfg) {
                     quarantine_releases += 1;
-                    #[cfg(feature = "telemetry")]
                     if let Some(t) = &self.tele {
                         t.registry.journal().record(
                             ctx.now.as_micros(),
@@ -491,7 +449,6 @@ impl ModuleManager {
                     if seq % keep != 0 {
                         outcome.modules_shed += 1;
                         slot.sheds += 1;
-                        #[cfg(feature = "telemetry")]
                         if let Some(t) = &self.tele {
                             t.shed_skips.inc();
                             if let Some(c) = &slot.shed_counter {
@@ -522,7 +479,6 @@ impl ModuleManager {
                 let ns = e.as_nanos() as u64;
                 outcome.cpu_ns += ns;
                 slot.cpu_ns += ns;
-                #[cfg(feature = "telemetry")]
                 if let Some(c) = &slot.cpu_counter {
                     c.add(ns);
                 }
@@ -530,7 +486,6 @@ impl ModuleManager {
             match result {
                 Ok(()) => {
                     outcome.modules_run += 1;
-                    #[cfg(feature = "telemetry")]
                     if sampled {
                         if let (Some(e), Some(hist)) = (elapsed, &slot.packet_hist) {
                             hist.record(e.as_nanos() as u64);
@@ -540,13 +495,11 @@ impl ModuleManager {
                     if overrun {
                         overruns += 1;
                         let verdict = slot.supervision.note_overrun(ctx.now, cfg);
-                        #[cfg(feature = "telemetry")]
                         if let Some(t) = &self.tele {
                             t.overruns.inc();
                         }
                         if let SupervisorVerdict::Quarantined { backoff, .. } = verdict {
                             quarantine_flips += 1;
-                            #[cfg(feature = "telemetry")]
                             if let Some(t) = &self.tele {
                                 t.quarantines.inc();
                                 t.registry.journal().record(
@@ -558,8 +511,6 @@ impl ModuleManager {
                                     },
                                 );
                             }
-                            #[cfg(not(feature = "telemetry"))]
-                            let _ = backoff;
                         }
                     } else {
                         slot.supervision.note_clean(cfg);
@@ -568,25 +519,19 @@ impl ModuleManager {
                 Err(payload) => {
                     outcome.modules_panicked += 1;
                     let message = panic_message(payload.as_ref());
-                    #[cfg(not(feature = "telemetry"))]
-                    let _ = &message;
                     // The unwind may have left analysis state
                     // half-updated; drop it before the next dispatch.
                     slot.module.reset();
                     // The reset emptied the module's bounded structures;
                     // reflect that on the ops surface immediately rather
                     // than waiting for the next profile publish.
-                    #[cfg(feature = "telemetry")]
-                    {
-                        if let Some(g) = &slot.occupancy_gauge {
-                            g.set(0);
-                        }
-                        if let Some(g) = &slot.evictions_gauge {
-                            g.set(0);
-                        }
+                    if let Some(g) = &slot.occupancy_gauge {
+                        g.set(0);
+                    }
+                    if let Some(g) = &slot.evictions_gauge {
+                        g.set(0);
                     }
                     let verdict = slot.supervision.note_panic(ctx.now, cfg);
-                    #[cfg(feature = "telemetry")]
                     if let Some(t) = &self.tele {
                         t.panics.inc();
                         t.registry.journal().record(
@@ -599,7 +544,6 @@ impl ModuleManager {
                     }
                     if let SupervisorVerdict::Quarantined { backoff, .. } = verdict {
                         quarantine_flips += 1;
-                        #[cfg(feature = "telemetry")]
                         if let Some(t) = &self.tele {
                             t.quarantines.inc();
                             t.registry.journal().record(
@@ -611,8 +555,6 @@ impl ModuleManager {
                                 },
                             );
                         }
-                        #[cfg(not(feature = "telemetry"))]
-                        let _ = backoff;
                     }
                 }
             }
@@ -622,15 +564,12 @@ impl ModuleManager {
         self.stats.sheds += outcome.modules_shed;
         self.stats.overruns += overruns;
         self.stats.quarantines += quarantine_flips;
-        #[cfg(feature = "telemetry")]
         if quarantine_flips + quarantine_releases > 0 {
             if let Some(t) = &self.tele {
                 t.quarantined.set(self.quarantined_count() as u64);
                 t.active.set(self.active_count() as u64);
             }
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = quarantine_releases;
         outcome
     }
 
@@ -641,10 +580,7 @@ impl ModuleManager {
         let mut outcome = DispatchOutcome::default();
         let cfg = &self.supervisor;
         let budget = cfg.budget;
-        #[cfg(feature = "telemetry")]
         let timed = self.tele.is_some() || budget.is_some();
-        #[cfg(not(feature = "telemetry"))]
-        let timed = budget.is_some();
         // kalis-lint: allow(KL302): measures real CPU cost for the supervisor budget
         let mut prev = timed.then(Instant::now);
         let mut quarantine_flips: u64 = 0;
@@ -657,7 +593,6 @@ impl ModuleManager {
             if slot.supervision.is_quarantined() {
                 if slot.supervision.try_release(ctx.now, cfg) {
                     quarantine_releases += 1;
-                    #[cfg(feature = "telemetry")]
                     if let Some(t) = &self.tele {
                         t.registry.journal().record(
                             ctx.now.as_micros(),
@@ -687,7 +622,6 @@ impl ModuleManager {
                 let ns = e.as_nanos() as u64;
                 outcome.cpu_ns += ns;
                 slot.cpu_ns += ns;
-                #[cfg(feature = "telemetry")]
                 if let Some(c) = &slot.cpu_counter {
                     c.add(ns);
                 }
@@ -695,7 +629,6 @@ impl ModuleManager {
             match result {
                 Ok(()) => {
                     outcome.modules_run += 1;
-                    #[cfg(feature = "telemetry")]
                     if let (Some(e), Some(hist)) = (elapsed, &slot.tick_hist) {
                         hist.record(e.as_nanos() as u64);
                     }
@@ -703,13 +636,11 @@ impl ModuleManager {
                     if overrun {
                         overruns += 1;
                         let verdict = slot.supervision.note_overrun(ctx.now, cfg);
-                        #[cfg(feature = "telemetry")]
                         if let Some(t) = &self.tele {
                             t.overruns.inc();
                         }
                         if let SupervisorVerdict::Quarantined { backoff, .. } = verdict {
                             quarantine_flips += 1;
-                            #[cfg(feature = "telemetry")]
                             if let Some(t) = &self.tele {
                                 t.quarantines.inc();
                                 t.registry.journal().record(
@@ -721,8 +652,6 @@ impl ModuleManager {
                                     },
                                 );
                             }
-                            #[cfg(not(feature = "telemetry"))]
-                            let _ = backoff;
                         }
                     } else {
                         slot.supervision.note_clean(cfg);
@@ -731,23 +660,17 @@ impl ModuleManager {
                 Err(payload) => {
                     outcome.modules_panicked += 1;
                     let message = panic_message(payload.as_ref());
-                    #[cfg(not(feature = "telemetry"))]
-                    let _ = &message;
                     slot.module.reset();
                     // The reset emptied the module's bounded structures;
                     // reflect that on the ops surface immediately rather
                     // than waiting for the next profile publish.
-                    #[cfg(feature = "telemetry")]
-                    {
-                        if let Some(g) = &slot.occupancy_gauge {
-                            g.set(0);
-                        }
-                        if let Some(g) = &slot.evictions_gauge {
-                            g.set(0);
-                        }
+                    if let Some(g) = &slot.occupancy_gauge {
+                        g.set(0);
+                    }
+                    if let Some(g) = &slot.evictions_gauge {
+                        g.set(0);
                     }
                     let verdict = slot.supervision.note_panic(ctx.now, cfg);
-                    #[cfg(feature = "telemetry")]
                     if let Some(t) = &self.tele {
                         t.panics.inc();
                         t.registry.journal().record(
@@ -760,7 +683,6 @@ impl ModuleManager {
                     }
                     if let SupervisorVerdict::Quarantined { backoff, .. } = verdict {
                         quarantine_flips += 1;
-                        #[cfg(feature = "telemetry")]
                         if let Some(t) = &self.tele {
                             t.quarantines.inc();
                             t.registry.journal().record(
@@ -772,8 +694,6 @@ impl ModuleManager {
                                 },
                             );
                         }
-                        #[cfg(not(feature = "telemetry"))]
-                        let _ = backoff;
                     }
                 }
             }
@@ -782,15 +702,12 @@ impl ModuleManager {
         self.stats.panics += outcome.modules_panicked;
         self.stats.overruns += overruns;
         self.stats.quarantines += quarantine_flips;
-        #[cfg(feature = "telemetry")]
         if quarantine_flips + quarantine_releases > 0 {
             if let Some(t) = &self.tele {
                 t.quarantined.set(self.quarantined_count() as u64);
                 t.active.set(self.active_count() as u64);
             }
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = quarantine_releases;
         outcome
     }
 
@@ -904,7 +821,6 @@ impl ModuleManager {
     /// gauges from live module state. Called at tick cadence by the ops
     /// profiler — occupancy needs a walk over module maps, so it stays
     /// off the per-packet path.
-    #[cfg(feature = "telemetry")]
     pub fn publish_profiles(&mut self) {
         if self.tele.is_none() {
             return;
@@ -1241,7 +1157,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn quarantined_module_returns_to_probation_with_fresh_state_and_gauges() {
         quiet_panics();

@@ -2,7 +2,6 @@
 //! Knowledge Base, Module Manager, response engine, and collective
 //! synchronization into the paper's Fig. 4 architecture.
 
-#[cfg(feature = "telemetry")]
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -11,15 +10,11 @@ use std::time::Duration;
 use kalis_packets::{CapturedPacket, Entity, Timestamp};
 
 use kalis_telemetry::{
-    AlertProvenance, EvidenceKnowgget, PacketRef, SampleRate, Telemetry, TraceContext, TraceRef,
-    Tracer, DEFAULT_RING_DEPTH, DEFAULT_SNAPSHOT_INTERVAL_SECS, DEFAULT_TRACE_CAPACITY, ROOT_SPAN,
-    SAMPLE_SCALE, TRIGGER_MASK_ALL,
-};
-
-#[cfg(feature = "telemetry")]
-use kalis_telemetry::{
-    config_fingerprint, metric_name, names, Counter, FlightRecorder, Gauge, Histogram,
-    JournalEvent, Trigger, DEFAULT_JOURNAL_TAIL,
+    config_fingerprint, metric_name, names, AlertProvenance, Counter, EvidenceKnowgget,
+    FlightRecorder, Gauge, Histogram, JournalEvent, PacketRef, SampleRate, Telemetry, TraceContext,
+    TraceRef, Tracer, Trigger, DEFAULT_JOURNAL_TAIL, DEFAULT_RING_DEPTH,
+    DEFAULT_SNAPSHOT_INTERVAL_SECS, DEFAULT_TRACE_CAPACITY, ROOT_SPAN, SAMPLE_SCALE,
+    TRIGGER_MASK_ALL,
 };
 
 use crate::alert::Alert;
@@ -28,21 +23,19 @@ use crate::capture::PacketSource;
 use crate::config::{Config, ModuleDef};
 use crate::error::KalisError;
 use crate::id::KalisId;
-#[cfg(feature = "telemetry")]
-use crate::knowledge::ChangeEvent;
 use crate::knowledge::{
-    CollectiveSync, KnowKey, KnowValue, KnowledgeBase, PeerBeacon, PeerHealth, ReceiptKind,
-    SecureChannel, SyncConfig, SyncEvent, SyncMessage, SyncTransmit, XorChannel, DEGRADED_LABEL,
+    ChangeEvent, CollectiveSync, KnowKey, KnowValue, KnowledgeBase, PeerBeacon, PeerHealth,
+    ReceiptKind, SecureChannel, SyncConfig, SyncEvent, SyncMessage, SyncTransmit, XorChannel,
+    DEGRADED_LABEL,
 };
 use crate::metrics::ResourceMeter;
 use crate::modules::{
     KeyPattern, KeyUse, Module, ModuleCtx, ModuleHealth, ModuleManager, ModuleRegistry,
     OverloadController, ShedMode, SupervisorConfig,
 };
-#[cfg(feature = "telemetry")]
-use crate::ops::SloStatus;
 use crate::ops::{
-    HotEntity, ModuleStatus, OpsConfig, OpsServer, OpsShared, Readiness, SpaceSaving, StatusReport,
+    HotEntity, ModuleStatus, OpsConfig, OpsServer, OpsShared, Readiness, SloStatus, SpaceSaving,
+    StatusReport,
 };
 use crate::response::ResponseEngine;
 use crate::store::{DataStore, WindowConfig};
@@ -379,14 +372,14 @@ impl KalisBuilder {
                 .and_then(|(_, value)| value.as_f64())
                 .filter(|n| *n >= 0.0)
         };
-        let diag = DiagConfig {
-            depth: non_negative_knowgget(DIAG_RING_DEPTH_KEY)
-                .map_or(DEFAULT_RING_DEPTH, |d| d as usize),
-            interval_secs: positive_knowgget(DIAG_INTERVAL_KEY)
-                .map_or(DEFAULT_SNAPSHOT_INTERVAL_SECS, |s| s as u64),
-            mask: non_negative_knowgget(DIAG_TRIGGER_MASK_KEY)
+        let recorder = FlightRecorder::new(
+            non_negative_knowgget(DIAG_RING_DEPTH_KEY).map_or(DEFAULT_RING_DEPTH, |d| d as usize),
+            positive_knowgget(DIAG_INTERVAL_KEY)
+                .map_or(DEFAULT_SNAPSHOT_INTERVAL_SECS, |s| s as u64)
+                .saturating_mul(1_000_000),
+            non_negative_knowgget(DIAG_TRIGGER_MASK_KEY)
                 .map_or(TRIGGER_MASK_ALL, |m| (m as u32) & TRIGGER_MASK_ALL),
-        };
+        );
         // The tracing knob rides the config language the same way; only
         // fractions in [0, 1] are honored (kalis-lint flags the rest).
         let tracer = Arc::new(Tracer::new(
@@ -449,16 +442,8 @@ impl KalisBuilder {
         kb.set_telemetry(&tele);
         manager.set_telemetry(&tele);
         // Initial activation pass against the a-priori knowledge.
-        #[cfg(feature = "telemetry")]
-        {
-            let changes = kb.drain_changes();
-            manager.reconfigure_traced(&kb, &Kalis::describe_trigger(&changes), 0);
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            kb.drain_changes();
-            manager.reconfigure(&kb);
-        }
+        let changes = kb.drain_changes();
+        manager.reconfigure_traced(&kb, &Kalis::describe_trigger(&changes), 0);
         let ops = match ops_config {
             None => None,
             Some(cfg) => {
@@ -479,28 +464,16 @@ impl KalisBuilder {
             ingest_seq: 0,
             current_trace: TraceContext::none(),
             current_packet_seq: None,
-            #[cfg(not(feature = "telemetry"))]
-            meter: ResourceMeter::new(),
             response: ResponseEngine::new(),
             auto_response: self.auto_response,
             last_tick: None,
             bus: EventBus::new(),
             syncer,
             overload: OverloadController::default(),
-            #[cfg(feature = "telemetry")]
             stats: NodeStats::new(&tele),
-            #[cfg(feature = "telemetry")]
             journaled_evictions: BTreeMap::new(),
-            #[cfg(feature = "telemetry")]
-            recorder: FlightRecorder::new(
-                diag.depth,
-                diag.interval_secs.saturating_mul(1_000_000),
-                diag.mask,
-            ),
-            diag,
-            #[cfg(feature = "telemetry")]
+            recorder,
             diag_edges: DiagEdges::default(),
-            #[cfg(feature = "telemetry")]
             diag_bundles: Vec::new(),
             tele,
             ops,
@@ -524,24 +497,9 @@ impl KalisBuilder {
     }
 }
 
-/// Resolved `Diag.*` knobs. Kept on the node in every build flavor so
-/// `recommend_config()` round-trips the capture posture even when the
-/// `telemetry` feature (and with it the recorder itself) is compiled
-/// out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct DiagConfig {
-    /// Ring depth in frames (0 = recorder disabled).
-    depth: usize,
-    /// Sampling interval, capture-clock seconds.
-    interval_secs: u64,
-    /// Armed trigger bitmask.
-    mask: u32,
-}
-
 /// Last-observed values of every trigger signal, so `diag_tick` fires
 /// captures on *edges* (a readiness flip, a rising quarantine count)
 /// rather than re-capturing on every tick a condition persists.
-#[cfg(feature = "telemetry")]
 #[derive(Debug, Default)]
 struct DiagEdges {
     reasons: Vec<String>,
@@ -557,7 +515,6 @@ struct DiagEdges {
 
 /// Node-level instrument handles, cached once at build time so the
 /// per-packet path never touches the registry lock.
-#[cfg(feature = "telemetry")]
 struct NodeStats {
     packets: Arc<Counter>,
     ticks: Arc<Counter>,
@@ -588,7 +545,6 @@ struct NodeStats {
     diag_last_trigger: Arc<Gauge>,
 }
 
-#[cfg(feature = "telemetry")]
 impl NodeStats {
     fn new(registry: &Telemetry) -> Self {
         NodeStats {
@@ -641,17 +597,11 @@ struct OpsRuntime {
     /// that lets `after_dispatch` detect a readiness transition without
     /// rebuilding the whole report.
     last_reasons: Vec<String>,
-    /// Configured p99 latency target (µs). Kept outside the tracker so
-    /// `recommend_config` round-trips it in every build flavor; actual
-    /// measurement needs the `telemetry` feature's pipeline histogram.
-    slo_target_us: Option<u64>,
-    #[cfg(feature = "telemetry")]
     slo: Option<SloTracker>,
 }
 
 /// Detection-latency SLO state: gauges plus the breach latch that turns
 /// p99-vs-target transitions into journal events.
-#[cfg(feature = "telemetry")]
 struct SloTracker {
     target_us: u64,
     breached: bool,
@@ -668,7 +618,6 @@ impl OpsRuntime {
         config: &OpsConfig,
         tele: &Telemetry,
     ) -> Self {
-        #[cfg(feature = "telemetry")]
         let slo = config.slo_p99_us.map(|target_us| {
             let tracker = SloTracker {
                 target_us,
@@ -681,8 +630,6 @@ impl OpsRuntime {
             tracker.target.set(target_us);
             tracker
         });
-        #[cfg(not(feature = "telemetry"))]
-        let _ = tele;
         OpsRuntime {
             server,
             shared,
@@ -690,8 +637,6 @@ impl OpsRuntime {
             started_us: None,
             last_render: None,
             last_reasons: Vec::new(),
-            slo_target_us: config.slo_p99_us,
-            #[cfg(feature = "telemetry")]
             slo,
         }
     }
@@ -746,8 +691,6 @@ pub struct Kalis {
     current_trace: TraceContext,
     /// Ingest sequence of the packet currently being dispatched.
     current_packet_seq: Option<u64>,
-    #[cfg(not(feature = "telemetry"))]
-    meter: ResourceMeter,
     response: ResponseEngine,
     auto_response: bool,
     last_tick: Option<Timestamp>,
@@ -755,26 +698,18 @@ pub struct Kalis {
     syncer: CollectiveSync,
     overload: OverloadController,
     tele: Arc<Telemetry>,
-    #[cfg(feature = "telemetry")]
     stats: NodeStats,
     /// Last-journaled cumulative eviction count per bounded structure
     /// (`module:<name>` / `kb`): the delta latch behind the aggregated
     /// `state_evicted` journal records emitted at tick cadence.
-    #[cfg(feature = "telemetry")]
     journaled_evictions: BTreeMap<String, u64>,
-    /// Resolved `Diag.*` knobs (kept in every build flavor for
-    /// `recommend_config()`).
-    diag: DiagConfig,
     /// The flight recorder: bounded telemetry history plus capture
     /// bookkeeping, sampled at tick cadence by [`Kalis::diag_tick`].
-    #[cfg(feature = "telemetry")]
     recorder: FlightRecorder,
     /// Trigger edge detection state for the recorder.
-    #[cfg(feature = "telemetry")]
     diag_edges: DiagEdges,
     /// Retained diagnostics bundles, oldest first: `(bundle id,
     /// kalis.diag.v1 JSON)`, bounded to [`DIAG_BUNDLE_RETENTION`].
-    #[cfg(feature = "telemetry")]
     diag_bundles: Vec<(String, String)>,
     ops: Option<OpsRuntime>,
 }
@@ -801,21 +736,15 @@ impl Kalis {
     /// dispatch (heavyweight anomaly modules first, pinned signature
     /// modules never) instead of the node falling behind the capture.
     pub fn ingest(&mut self, packet: CapturedPacket) {
-        #[cfg(feature = "telemetry")]
         let pipeline = Arc::clone(&self.stats.pipeline);
-        #[cfg(feature = "telemetry")]
         let _span = pipeline.span();
-        #[cfg(feature = "telemetry")]
         self.stats.packets.inc();
-        #[cfg(not(feature = "telemetry"))]
-        self.meter.count_packet();
         let now = packet.timestamp;
         self.ingest_seq = self.ingest_seq.wrapping_add(1);
         // Tracing-off fast path: one relaxed atomic load, nothing else.
         if self.tracer.enabled() {
             let ctx = self.tracer.root(self.id.as_str(), self.ingest_seq);
             if ctx.sampled {
-                #[cfg(feature = "telemetry")]
                 self.stats.trace_sampled.inc();
                 self.tracer.record(
                     &ctx,
@@ -865,10 +794,7 @@ impl Kalis {
         };
         let outcome = self.manager.dispatch_packet_shed(&mut ctx, packet, shed);
         self.overload.episode_skipped += outcome.modules_shed;
-        #[cfg(feature = "telemetry")]
         self.stats.work.add(outcome.work_units());
-        #[cfg(not(feature = "telemetry"))]
-        self.meter.add_work(outcome.work_units());
         if self.current_trace.sampled {
             let dispatch = self.current_trace.child(0);
             self.tracer.record(
@@ -883,7 +809,6 @@ impl Kalis {
         self.after_dispatch(now);
         if self.current_trace.sampled {
             self.kb.clear_trace();
-            #[cfg(feature = "telemetry")]
             self.stats.trace_dropped.set(self.tracer.dropped());
         }
         self.current_trace = TraceContext::none();
@@ -919,25 +844,21 @@ impl Kalis {
         let mode = self.overload.observe(now, self.manager.supervisor_config());
         let shedding = mode != ShedMode::None;
         if shedding != was_shedding {
-            #[cfg(feature = "telemetry")]
-            {
-                let event = if shedding {
-                    JournalEvent::LoadShedEngaged {
-                        rate: self.overload.rate(),
-                        capacity: self.manager.supervisor_config().burst_pps,
-                    }
-                } else {
-                    JournalEvent::LoadShedReleased {
-                        skipped: self.overload.episode_skipped,
-                    }
-                };
-                self.tele.journal().record(now.as_micros(), event);
-            }
+            let event = if shedding {
+                JournalEvent::LoadShedEngaged {
+                    rate: self.overload.rate(),
+                    capacity: self.manager.supervisor_config().burst_pps,
+                }
+            } else {
+                JournalEvent::LoadShedReleased {
+                    skipped: self.overload.episode_skipped,
+                }
+            };
+            self.tele.journal().record(now.as_micros(), event);
             if !shedding {
                 self.overload.episode_skipped = 0;
             }
         }
-        #[cfg(feature = "telemetry")]
         self.stats
             .pipeline_degraded
             .set(u64::from(shedding || self.manager.quarantined_count() > 0));
@@ -954,7 +875,6 @@ impl Kalis {
     /// report render; the packet-driven cadence (`maybe_tick`) leaves
     /// rendering to the wall-clock throttle.
     fn tick_inner(&mut self, now: Timestamp, force_ops: bool) {
-        #[cfg(feature = "telemetry")]
         self.stats.ticks.inc();
         self.last_tick = Some(now);
         // Housekeeping alerts (e.g. the collaborative wormhole verdict,
@@ -967,7 +887,6 @@ impl Kalis {
             self.ingest_seq = self.ingest_seq.wrapping_add(1);
             let ctx = self.tracer.root(self.id.as_str(), self.ingest_seq);
             if ctx.sampled {
-                #[cfg(feature = "telemetry")]
                 self.stats.trace_sampled.inc();
                 self.tracer.record(
                     &ctx,
@@ -987,13 +906,9 @@ impl Kalis {
             alerts: &mut self.alerts,
         };
         let outcome = self.manager.dispatch_tick(&mut ctx);
-        #[cfg(feature = "telemetry")]
         self.stats.work.add(outcome.work_units());
-        #[cfg(not(feature = "telemetry"))]
-        self.meter.add_work(outcome.work_units());
         self.response.expire(now);
         self.after_dispatch(now);
-        #[cfg(feature = "telemetry")]
         self.journal_state_evictions(now);
         // The ops surface refreshes at tick cadence: profiler gauges,
         // SLO posture, and the pre-rendered /status document.
@@ -1002,12 +917,10 @@ impl Kalis {
         }
         // The flight recorder samples (and latches captures) after the
         // ops refresh so the SLO breach latch is current for this tick.
-        #[cfg(feature = "telemetry")]
         self.diag_tick(now);
         if own_trace {
             if self.current_trace.sampled {
                 self.kb.clear_trace();
-                #[cfg(feature = "telemetry")]
                 self.stats.trace_dropped.set(self.tracer.dropped());
             }
             self.current_trace = TraceContext::none();
@@ -1018,7 +931,6 @@ impl Kalis {
     /// record per structure whose cumulative count moved since the last
     /// tick. Aggregation is deliberate — per-eviction records would let
     /// a state-exhaustion adversary flood the journal at spray rate.
-    #[cfg(feature = "telemetry")]
     fn journal_state_evictions(&mut self, now: Timestamp) {
         let mut totals: Vec<(String, u64)> = self
             .manager
@@ -1046,7 +958,6 @@ impl Kalis {
     /// Cumulative bounded-state evictions across every budgeted
     /// structure (module maps plus the KB's entity index) — the
     /// state-exhaustion trigger signal.
-    #[cfg(feature = "telemetry")]
     fn total_evictions(&self) -> u64 {
         self.manager
             .module_profiles()
@@ -1061,7 +972,6 @@ impl Kalis {
     /// its last-seen value and freeze a `kalis.diag.v1` bundle on the
     /// first armed edge. Runs on the virtual clock only — captures are
     /// deterministic for a deterministic run.
-    #[cfg(feature = "telemetry")]
     fn diag_tick(&mut self, now: Timestamp) {
         if !self.recorder.enabled() {
             return;
@@ -1118,7 +1028,6 @@ impl Kalis {
     /// Freeze the ring plus the journal tail, trace trees, and config
     /// fingerprint into a retained bundle, journal the capture, and
     /// republish the `/debug/diag` surface.
-    #[cfg(feature = "telemetry")]
     fn diag_capture(&mut self, trigger: Trigger, now_us: u64) {
         let fingerprint = config_fingerprint(&self.recommend_config().to_string());
         let traces = self.tracer.enabled().then(|| self.tracer.to_json());
@@ -1162,7 +1071,6 @@ impl Kalis {
 
     /// Summarize a batch of knowledge changes as the `trigger` string
     /// recorded with every module flip in the journal's audit trail.
-    #[cfg(feature = "telemetry")]
     fn describe_trigger(changes: &[ChangeEvent]) -> String {
         let mut parts: Vec<String> = changes
             .iter()
@@ -1182,11 +1090,10 @@ impl Kalis {
     }
 
     /// Drain pending knowledge changes and re-run module activation,
-    /// journaling the flips against the changed keys when telemetry is
-    /// compiled in. Returns `(activated, deactivated)`.
+    /// journaling the flips against the changed keys. Returns
+    /// `(activated, deactivated)`.
     fn reconfigure_on_changes(&mut self, now: Timestamp, publish: bool) -> (usize, usize) {
         let changes = self.kb.drain_changes();
-        #[cfg(feature = "telemetry")]
         let trigger = Self::describe_trigger(&changes);
         if publish {
             for change in changes {
@@ -1198,16 +1105,8 @@ impl Kalis {
                 });
             }
         }
-        #[cfg(feature = "telemetry")]
-        {
-            self.manager
-                .reconfigure_traced(&self.kb, &trigger, now.as_micros())
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = now;
-            self.manager.reconfigure(&self.kb)
-        }
+        self.manager
+            .reconfigure_traced(&self.kb, &trigger, now.as_micros())
     }
 
     fn after_dispatch(&mut self, now: Timestamp) {
@@ -1246,26 +1145,23 @@ impl Kalis {
         }
         let new_alerts: Vec<Alert> = self.alerts[self.pending_alert_cursor..].to_vec();
         for alert in &new_alerts {
-            #[cfg(feature = "telemetry")]
-            {
-                self.stats.alerts.inc();
-                let kind = alert.attack.to_string();
-                let severity = alert.severity.to_string();
-                self.tele
-                    .counter(&metric_name(
-                        names::ALERTS_BY,
-                        &[("kind", &kind), ("severity", &severity)],
-                    ))
-                    .inc();
-                self.tele.journal().record(
-                    alert.time.as_micros(),
-                    JournalEvent::AlertRaised {
-                        kind,
-                        severity,
-                        module: alert.module.clone(),
-                    },
-                );
-            }
+            self.stats.alerts.inc();
+            let kind = alert.attack.to_string();
+            let severity = alert.severity.to_string();
+            self.tele
+                .counter(&metric_name(
+                    names::ALERTS_BY,
+                    &[("kind", &kind), ("severity", &severity)],
+                ))
+                .inc();
+            self.tele.journal().record(
+                alert.time.as_micros(),
+                JournalEvent::AlertRaised {
+                    kind,
+                    severity,
+                    module: alert.module.clone(),
+                },
+            );
             if self.auto_response {
                 self.response.apply(alert);
             }
@@ -1273,10 +1169,7 @@ impl Kalis {
         }
         self.pending_alert_cursor = self.alerts.len();
         let state = self.store.state_bytes() + self.kb.state_bytes() + self.manager.state_bytes();
-        #[cfg(feature = "telemetry")]
         self.stats.peak_state.set_max(state as u64);
-        #[cfg(not(feature = "telemetry"))]
-        self.meter.observe_state_bytes(state);
         // Readiness transitions must reach /readyz immediately, not at
         // the next tick: compare the (usually empty) reason set against
         // the last published one and republish only on change.
@@ -1395,8 +1288,8 @@ impl Kalis {
                 OPS_PORT_KEY.to_owned(),
                 KnowValue::Int(i64::from(ops.server.addr().port())),
             ));
-            if let Some(target) = ops.slo_target_us {
-                knowggets.push((OPS_SLO_KEY.to_owned(), KnowValue::Int(target as i64)));
+            if let Some(slo) = &ops.slo {
+                knowggets.push((OPS_SLO_KEY.to_owned(), KnowValue::Int(slo.target_us as i64)));
             }
             if ops.sketch.capacity() != crate::ops::DEFAULT_HOT_ENTITIES {
                 knowggets.push((
@@ -1408,22 +1301,22 @@ impl Kalis {
         // The flight-recorder knobs ride along when tuned away from the
         // defaults, so a node rebuilt from the recommendation keeps the
         // same diagnostics-capture posture.
-        if self.diag.depth != DEFAULT_RING_DEPTH {
-            knowggets.push((
-                DIAG_RING_DEPTH_KEY.to_owned(),
-                KnowValue::Int(self.diag.depth as i64),
-            ));
+        let depth = self.recorder.depth();
+        if depth != DEFAULT_RING_DEPTH {
+            knowggets.push((DIAG_RING_DEPTH_KEY.to_owned(), KnowValue::Int(depth as i64)));
         }
-        if self.diag.interval_secs != DEFAULT_SNAPSHOT_INTERVAL_SECS {
+        let interval_secs = self.recorder.interval_us() / 1_000_000;
+        if interval_secs != DEFAULT_SNAPSHOT_INTERVAL_SECS {
             knowggets.push((
                 DIAG_INTERVAL_KEY.to_owned(),
-                KnowValue::Int(self.diag.interval_secs as i64),
+                KnowValue::Int(interval_secs as i64),
             ));
         }
-        if self.diag.mask != TRIGGER_MASK_ALL {
+        let mask = self.recorder.trigger_mask();
+        if mask != TRIGGER_MASK_ALL {
             knowggets.push((
                 DIAG_TRIGGER_MASK_KEY.to_owned(),
-                KnowValue::Int(i64::from(self.diag.mask)),
+                KnowValue::Int(i64::from(mask)),
             ));
         }
         Config { modules, knowggets }
@@ -1608,24 +1501,14 @@ impl Kalis {
         self.manager.module_profiles()
     }
 
-    /// Resource accounting so far.
-    ///
-    /// With the `telemetry` feature enabled (the default) this is a thin
-    /// facade deriving the meter from the telemetry counters
-    /// (`packets.ingested`, `work.units`, `state.peak_bytes`), so the two
-    /// views can never disagree.
+    /// Resource accounting so far: a facade deriving the meter from the
+    /// telemetry counters (`packets.ingested`, `work.units`,
+    /// `state.peak_bytes`), so the two views can never disagree.
     pub fn meter(&self) -> ResourceMeter {
-        #[cfg(feature = "telemetry")]
-        {
-            ResourceMeter {
-                packets: self.stats.packets.get(),
-                work_units: self.stats.work.get(),
-                peak_state_bytes: self.stats.peak_state.get() as usize,
-            }
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            self.meter
+        ResourceMeter {
+            packets: self.stats.packets.get(),
+            work_units: self.stats.work.get(),
+            peak_state_bytes: self.stats.peak_state.get() as usize,
         }
     }
 
@@ -1656,22 +1539,19 @@ impl Kalis {
             return None;
         }
         let message = SyncMessage::new(self.id.clone(), dirty);
-        #[cfg(feature = "telemetry")]
-        {
-            let knowggets = message.knowggets.len() as u64;
-            let bytes = message.encoded_len() as u64;
-            self.stats.sync_sent.inc();
-            self.stats.sync_knowggets_out.add(knowggets);
-            self.stats.sync_bytes_out.add(bytes);
-            self.tele.journal().record(
-                self.capture_time_us(),
-                JournalEvent::SyncSent {
-                    peer: "*".to_owned(),
-                    knowggets,
-                    bytes,
-                },
-            );
-        }
+        let knowggets = message.knowggets.len() as u64;
+        let bytes = message.encoded_len() as u64;
+        self.stats.sync_sent.inc();
+        self.stats.sync_knowggets_out.add(knowggets);
+        self.stats.sync_bytes_out.add(bytes);
+        self.tele.journal().record(
+            self.capture_time_us(),
+            JournalEvent::SyncSent {
+                peer: "*".to_owned(),
+                knowggets,
+                bytes,
+            },
+        );
         Some(message)
     }
 
@@ -1683,7 +1563,6 @@ impl Kalis {
     /// ownership rule; accepted knowggets before the violation are kept.
     pub fn accept_sync(&mut self, message: SyncMessage) -> Result<usize, KalisError> {
         let sender = message.from.to_string();
-        #[cfg(feature = "telemetry")]
         let bytes = {
             let bytes = message.encoded_len() as u64;
             self.stats.sync_bytes_in.add(bytes);
@@ -1727,17 +1606,14 @@ impl Kalis {
                 }
                 Ok(false) => {}
                 Err(reason) => {
-                    #[cfg(feature = "telemetry")]
-                    {
-                        self.stats.sync_rejected.inc();
-                        self.tele.journal().record(
-                            self.capture_time_us(),
-                            JournalEvent::SyncRejected {
-                                peer: sender.clone(),
-                                reason: reason.clone(),
-                            },
-                        );
-                    }
+                    self.stats.sync_rejected.inc();
+                    self.tele.journal().record(
+                        self.capture_time_us(),
+                        JournalEvent::SyncRejected {
+                            peer: sender.clone(),
+                            reason: reason.clone(),
+                        },
+                    );
                     return Err(KalisError::SyncRejected {
                         peer: sender,
                         reason,
@@ -1745,19 +1621,16 @@ impl Kalis {
                 }
             }
         }
-        #[cfg(feature = "telemetry")]
-        {
-            self.stats.sync_accepted.inc();
-            self.stats.sync_knowggets_in.add(accepted as u64);
-            self.tele.journal().record(
-                self.capture_time_us(),
-                JournalEvent::SyncAccepted {
-                    peer: sender,
-                    knowggets: accepted as u64,
-                    bytes,
-                },
-            );
-        }
+        self.stats.sync_accepted.inc();
+        self.stats.sync_knowggets_in.add(accepted as u64);
+        self.tele.journal().record(
+            self.capture_time_us(),
+            JournalEvent::SyncAccepted {
+                peer: sender,
+                knowggets: accepted as u64,
+                bytes,
+            },
+        );
         if self.kb.has_changes() {
             let now = self.last_tick.unwrap_or(Timestamp::ZERO);
             self.reconfigure_on_changes(now, false);
@@ -1791,7 +1664,6 @@ impl Kalis {
             self.syncer.enqueue_broadcast(&dirty, now);
         }
         let frames = self.syncer.poll(now);
-        #[cfg(feature = "telemetry")]
         for frame in &frames {
             if frame.retransmit {
                 self.stats.sync_retransmits.inc();
@@ -1832,17 +1704,14 @@ impl Kalis {
         now: Timestamp,
     ) -> Result<SyncReceipt, KalisError> {
         let receipt = self.syncer.receive(sealed, now).map_err(|reason| {
-            #[cfg(feature = "telemetry")]
-            {
-                self.stats.sync_rejected.inc();
-                self.tele.journal().record(
-                    now.as_micros(),
-                    JournalEvent::SyncRejected {
-                        peer: "unknown".to_owned(),
-                        reason: reason.clone(),
-                    },
-                );
-            }
+            self.stats.sync_rejected.inc();
+            self.tele.journal().record(
+                now.as_micros(),
+                JournalEvent::SyncRejected {
+                    peer: "unknown".to_owned(),
+                    reason: reason.clone(),
+                },
+            );
             KalisError::SyncRejected {
                 peer: "unknown".to_owned(),
                 reason,
@@ -1861,19 +1730,14 @@ impl Kalis {
                 })
             }
             ReceiptKind::Duplicate => {
-                #[cfg(feature = "telemetry")]
-                {
-                    self.stats.sync_duplicates.inc();
-                    self.tele.journal().record(
-                        now.as_micros(),
-                        JournalEvent::SyncDuplicate {
-                            peer: from.to_string(),
-                            seq,
-                        },
-                    );
-                }
-                #[cfg(not(feature = "telemetry"))]
-                let _ = seq;
+                self.stats.sync_duplicates.inc();
+                self.tele.journal().record(
+                    now.as_micros(),
+                    JournalEvent::SyncDuplicate {
+                        peer: from.to_string(),
+                        seq,
+                    },
+                );
                 Ok(SyncReceipt {
                     from,
                     accepted: 0,
@@ -1937,13 +1801,11 @@ impl Kalis {
     /// first: `(bundle id, kalis.diag.v1 JSON)`. Bounded to
     /// [`DIAG_BUNDLE_RETENTION`]; also served via `/debug/diag` when
     /// the ops surface is enabled.
-    #[cfg(feature = "telemetry")]
     pub fn diag_bundles(&self) -> &[(String, String)] {
         &self.diag_bundles
     }
 
     /// The trigger behind the flight recorder's most recent capture.
-    #[cfg(feature = "telemetry")]
     pub fn diag_last_trigger(&self) -> Option<&'static str> {
         self.recorder.last_trigger().map(Trigger::name)
     }
@@ -2001,22 +1863,19 @@ impl Kalis {
         if self.ops.is_none() {
             return;
         }
-        #[cfg(feature = "telemetry")]
         self.manager.publish_profiles();
         let readiness = self.readiness();
-        {
-            let ops = self.ops.as_mut().expect("checked above");
-            let due = force
-                || ops.last_reasons != readiness.reasons
-                || !ops
-                    .last_render
-                    .is_some_and(|at| at.elapsed() < OPS_RENDER_MIN_INTERVAL);
-            if !due {
-                return;
-            }
-            // kalis-lint: allow(KL302): ops snapshot throttle is wall-clock by design
-            ops.last_render = Some(std::time::Instant::now());
+        let ops = self.ops.as_mut().expect("checked above");
+        let due = force
+            || ops.last_reasons != readiness.reasons
+            || !ops
+                .last_render
+                .is_some_and(|at| at.elapsed() < OPS_RENDER_MIN_INTERVAL);
+        if !due {
+            return;
         }
+        // kalis-lint: allow(KL302): ops snapshot throttle is wall-clock by design
+        ops.last_render = Some(std::time::Instant::now());
         let modules: Vec<ModuleStatus> = self
             .manager
             .module_profiles()
@@ -2029,14 +1888,10 @@ impl Kalis {
             .into_iter()
             .map(|(id, health)| (id.to_string(), health.as_str().to_owned()))
             .collect();
-        #[cfg(feature = "telemetry")]
         let alerts = self.stats.alerts.get();
-        #[cfg(not(feature = "telemetry"))]
-        let alerts = self.alerts.len() as u64;
         // SLO posture: p99 of the whole-ingest pipeline histogram (ns)
         // against the configured target, latched so only transitions
         // reach the journal.
-        #[cfg(feature = "telemetry")]
         let slo = {
             let p99_us = self.stats.pipeline.snapshot().quantile(0.99) / 1_000;
             let tele = &self.tele;
@@ -2070,8 +1925,6 @@ impl Kalis {
                 }
             })
         };
-        #[cfg(not(feature = "telemetry"))]
-        let slo = None;
         let journal_dropped = self.tele.journal().dropped();
         let trace_dropped = self.tracer.dropped();
         let ops = self.ops.as_mut().expect("checked above");
@@ -2088,7 +1941,6 @@ impl Kalis {
         let uptime_us = ops
             .started_us
             .map_or(0, |start| now.as_micros().saturating_sub(start));
-        #[cfg(feature = "telemetry")]
         let (diag_captures, diag_ring_occupancy, diag_last_trigger) = (
             self.recorder.captures(),
             self.recorder.occupancy() as u64,
@@ -2097,8 +1949,6 @@ impl Kalis {
                 .map(|t| t.name().to_owned())
                 .unwrap_or_default(),
         );
-        #[cfg(not(feature = "telemetry"))]
-        let (diag_captures, diag_ring_occupancy, diag_last_trigger) = (0, 0, String::new());
         let report = StatusReport {
             node: self.id.to_string(),
             readiness,
@@ -2170,7 +2020,6 @@ impl Kalis {
             match event {
                 SyncEvent::PeerDiscovered { .. } => {}
                 SyncEvent::Health { peer, from, to } => {
-                    #[cfg(feature = "telemetry")]
                     self.tele.journal().record(
                         now.as_micros(),
                         JournalEvent::PeerHealthChanged {
@@ -2179,68 +2028,51 @@ impl Kalis {
                             to: to.as_str().to_owned(),
                         },
                     );
-                    #[cfg(not(feature = "telemetry"))]
-                    let _ = (peer, from, to);
                 }
                 SyncEvent::QueueOverflow { dropped, .. } => {
                     overflow_dropped += dropped;
-                    #[cfg(feature = "telemetry")]
                     self.stats.sync_queue_dropped.add(dropped);
                 }
                 SyncEvent::DegradedEntered { reason } => {
                     degraded_flip = Some(true);
-                    #[cfg(feature = "telemetry")]
                     self.tele
                         .journal()
                         .record(now.as_micros(), JournalEvent::DegradedEntered { reason });
-                    #[cfg(not(feature = "telemetry"))]
-                    let _ = reason;
                 }
                 SyncEvent::DegradedExited { healthy } => {
                     degraded_flip = Some(false);
-                    #[cfg(feature = "telemetry")]
                     self.tele.journal().record(
                         now.as_micros(),
                         JournalEvent::DegradedExited {
                             healthy_peers: healthy,
                         },
                     );
-                    #[cfg(not(feature = "telemetry"))]
-                    let _ = healthy;
                 }
                 SyncEvent::PeerExpired { peer } => {
-                    #[cfg(feature = "telemetry")]
-                    {
-                        self.stats.peers_expired.inc();
-                        self.tele.journal().record(
-                            now.as_micros(),
-                            JournalEvent::PeerExpired {
-                                peer: peer.to_string(),
-                            },
-                        );
-                    }
-                    #[cfg(not(feature = "telemetry"))]
-                    let _ = peer;
+                    self.stats.peers_expired.inc();
+                    self.tele.journal().record(
+                        now.as_micros(),
+                        JournalEvent::PeerExpired {
+                            peer: peer.to_string(),
+                        },
+                    );
                 }
             }
         }
-        #[cfg(feature = "telemetry")]
-        {
-            let mut healthy = 0u64;
-            let mut suspect = 0u64;
-            let mut dead = 0u64;
-            for (_, health) in self.syncer.peers() {
-                match health {
-                    PeerHealth::Healthy => healthy += 1,
-                    PeerHealth::Suspect => suspect += 1,
-                    PeerHealth::Dead => dead += 1,
-                }
+        let mut healthy = 0u64;
+        let mut suspect = 0u64;
+        let mut dead = 0u64;
+        for (_, health) in self.syncer.peers() {
+            match health {
+                PeerHealth::Healthy => healthy += 1,
+                PeerHealth::Suspect => suspect += 1,
+                PeerHealth::Dead => dead += 1,
             }
-            self.stats.peers_healthy.set(healthy);
-            self.stats.peers_suspect.set(suspect);
-            self.stats.peers_dead.set(dead);
-            self.stats.degraded.set(u64::from(self.syncer.degraded()));
         }
+        self.stats.peers_healthy.set(healthy);
+        self.stats.peers_suspect.set(suspect);
+        self.stats.peers_dead.set(dead);
+        self.stats.degraded.set(u64::from(self.syncer.degraded()));
         if let Some(entered) = degraded_flip {
             // The mode is itself knowledge: collaborative-only modules
             // (e.g. wormhole correlation) suppress their verdicts while
@@ -2665,6 +2497,43 @@ mod tests {
             .knowggets
             .iter()
             .any(|(k, _)| k == TRACE_SAMPLE_RATE_KEY));
+    }
+
+    #[test]
+    fn diag_and_slo_knobs_round_trip_through_the_recommendation() {
+        let tuned = "knowggets = { Diag.RingDepth = 16, Diag.SnapshotIntervalSecs = 5, \
+                     Diag.TriggerMask = 5, Ops.LatencySloUs = 250000 }";
+        let kalis = Kalis::builder(KalisId::new("K1"))
+            .with_default_modules()
+            .with_config(tuned.parse().unwrap())
+            .build();
+        assert_eq!(kalis.recorder.depth(), 16);
+        assert_eq!(kalis.recorder.interval_us(), 5_000_000);
+        assert_eq!(kalis.recorder.trigger_mask(), 5);
+        let slo_target = |node: &Kalis| node.ops.as_ref()?.slo.as_ref().map(|s| s.target_us);
+        assert_eq!(slo_target(&kalis), Some(250_000));
+        // recommend -> render -> parse -> rebuild keeps the posture. The
+        // pinned `Ops.Port` is dropped: the original still holds it.
+        let mut config: Config = kalis.recommend_config().to_string().parse().unwrap();
+        config.knowggets.retain(|(key, _)| key != OPS_PORT_KEY);
+        let rebuilt = Kalis::builder(KalisId::new("K2"))
+            .with_config(config)
+            .try_build()
+            .unwrap();
+        assert_eq!(rebuilt.recorder.depth(), kalis.recorder.depth());
+        assert_eq!(rebuilt.recorder.interval_us(), kalis.recorder.interval_us());
+        assert_eq!(
+            rebuilt.recorder.trigger_mask(),
+            kalis.recorder.trigger_mask()
+        );
+        assert_eq!(slo_target(&rebuilt), slo_target(&kalis));
+        // Default capture posture leaves every Diag knob out.
+        let plain = Kalis::builder(KalisId::new("K3")).build();
+        assert!(!plain
+            .recommend_config()
+            .knowggets
+            .iter()
+            .any(|(key, _)| key.starts_with("Diag.")));
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use std::fmt;
 
 use kalis_core::config::SourcePos;
+use kalis_telemetry::json::quote;
 
 /// Every check the scenario parser can fail, with a stable code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,7 +162,7 @@ impl Diagnostic {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&json_string(note));
+                out.push_str(&quote(note));
             }
             out.push(']');
         }
@@ -172,27 +173,9 @@ impl Diagnostic {
 
 /// Append `"key":"escaped value"` to `out`.
 fn json_field(out: &mut String, key: &str, value: &str) {
-    out.push_str(&json_string(key));
+    out.push_str(&quote(key));
     out.push(':');
-    out.push_str(&json_string(value));
-}
-
-/// A JSON string literal with the mandatory escapes.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    out.push_str(&quote(value));
 }
 
 #[cfg(test)]

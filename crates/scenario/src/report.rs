@@ -2,8 +2,8 @@
 //! prints and the `--json` document CI archives.
 
 use kalis_netsim::fault::FaultStats;
+use kalis_telemetry::json::quote;
 
-use crate::diagnostics::json_string;
 use crate::expect::ExpectationReport;
 
 /// One seeded execution's verdicts.
@@ -150,8 +150,8 @@ pub fn render_json(reports: &[ScenarioReport]) -> String {
         }
         out.push_str(&format!(
             "{{\"name\":{},\"file\":{},\"passed\":{},\"runs\":[",
-            json_string(&report.name),
-            json_string(&report.file),
+            quote(&report.name),
+            quote(&report.file),
             report.passed()
         ));
         for (j, run) in report.runs.iter().enumerate() {
@@ -169,16 +169,16 @@ pub fn render_json(reports: &[ScenarioReport]) -> String {
                 }
                 out.push_str(&format!(
                     "{{\"name\":{},\"passed\":{},\"expected\":{},\"observed\":{},\"evidence\":[",
-                    json_string(&exp.name),
+                    quote(&exp.name),
                     exp.passed,
-                    json_string(&exp.expected),
-                    json_string(&exp.observed)
+                    quote(&exp.expected),
+                    quote(&exp.observed)
                 ));
                 for (l, line) in exp.evidence.iter().enumerate() {
                     if l > 0 {
                         out.push(',');
                     }
-                    out.push_str(&json_string(line));
+                    out.push_str(&quote(line));
                 }
                 out.push_str("]}");
             }
@@ -204,7 +204,7 @@ fn faults_json(total: &FaultStats, links: &[(String, FaultStats)]) -> String {
         }
         out.push_str(&format!(
             "{{\"link\":{},\"dropped\":{},\"duplicated\":{},\"corrupted\":{},\"delayed\":{}}}",
-            json_string(link),
+            quote(link),
             stats.dropped,
             stats.duplicated,
             stats.corrupted,

@@ -97,6 +97,14 @@ impl fmt::Display for JsonValue {
     }
 }
 
+/// `s` as a JSON string literal: quoted, with `"`, `\` and control
+/// characters escaped.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_str(s, &mut out);
+    out
+}
+
 fn write_str(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
@@ -334,6 +342,13 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\":1} x").is_err());
         assert!(parse("-1").is_err(), "negative numbers are not emitted");
+    }
+
+    #[test]
+    fn quote_escapes() {
+        assert_eq!(quote("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(quote("\r\t"), "\"\\r\\t\"");
+        assert_eq!(quote("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]
