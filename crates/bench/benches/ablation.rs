@@ -3,7 +3,8 @@
 //! * knowledge-driven activation vs. always-on dispatch (how much work
 //!   does the Module Manager save per packet),
 //! * reconfiguration cost as the library grows (the scalability concern
-//!   of §IV-B4),
+//!   of §IV-B4): the full sweep against the incremental pass, which
+//!   grows with the modules gated on the changed keys instead,
 //! * the Data Store sliding window size (memory/lookup trade-off).
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
@@ -46,24 +47,54 @@ fn bench_activation_ablation(c: &mut Criterion) {
 
 fn bench_reconfigure_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_reconfigure");
-    for copies in [1usize, 4, 16] {
-        group.bench_function(&format!("library_x{copies}"), |b| {
-            let registry = ModuleRegistry::with_defaults();
-            let mut manager = kalis_core::modules::ModuleManager::new();
-            for _ in 0..copies {
-                for name in registry.names() {
-                    manager.add(registry.build(&ModuleDef::new(name)).unwrap(), false);
-                }
+    let library = |copies: usize| {
+        let registry = ModuleRegistry::with_defaults();
+        let mut manager = kalis_core::modules::ModuleManager::new();
+        for _ in 0..copies {
+            for name in registry.names() {
+                manager.add(registry.build(&ModuleDef::new(name)).unwrap(), false);
             }
-            let mut kb = KnowledgeBase::new(KalisId::new("K1"));
-            kb.insert("Multihop", true);
-            kb.insert("Mobile", false);
+        }
+        let mut kb = KnowledgeBase::new(KalisId::new("K1"));
+        kb.insert("Multihop", true);
+        kb.insert("Mobile", false);
+        manager.reconfigure(&kb);
+        kb.drain_changes();
+        (manager, kb)
+    };
+    for copies in [1usize, 4, 16] {
+        // Full sweep: every module's `required()` on every pass.
+        group.bench_function(&format!("library_x{copies}"), |b| {
+            let (mut manager, mut kb) = library(copies);
             let mut flip = false;
             b.iter(|| {
                 // Alternate the knowledge so every pass flips activations.
                 flip = !flip;
                 kb.insert("Multihop", flip);
                 black_box(manager.reconfigure(&kb))
+            });
+        });
+        // Incremental pass over a batch no activation read covers (the
+        // common case: a traffic rate moved), and over one that flips
+        // `Multihop` (re-evaluates only the modules gated on it).
+        group.bench_function(&format!("incremental_rate_x{copies}"), |b| {
+            let (mut manager, mut kb) = library(copies);
+            let mut rate = 0i64;
+            b.iter(|| {
+                rate += 1;
+                kb.insert("TrafficFrequency.ICMP", rate);
+                let changes = kb.drain_changes();
+                black_box(manager.reconfigure_traced(&kb, &changes, 0))
+            });
+        });
+        group.bench_function(&format!("incremental_multihop_x{copies}"), |b| {
+            let (mut manager, mut kb) = library(copies);
+            let mut flip = false;
+            b.iter(|| {
+                flip = !flip;
+                kb.insert("Multihop", flip);
+                let changes = kb.drain_changes();
+                black_box(manager.reconfigure_traced(&kb, &changes, 0))
             });
         });
     }

@@ -1019,5 +1019,70 @@ mod tests {
                 proptest::prop_assert_eq!(kb.state_bytes(), walked_state_bytes(&kb));
             }
         }
+
+        /// The change log records every mutation: replaying the drained
+        /// log onto a snapshot of the entries reproduces the KB, after
+        /// any mix of local and remote writes, removals, budget purges
+        /// and budget changes. Incremental activation relies on this.
+        #[test]
+        fn replayed_change_log_reproduces_entries(
+            ops in proptest::collection::vec((0u8..8, 0u8..6, 0u8..12, 0i64..1000), 1..200),
+            split in 0usize..200,
+        ) {
+            let mut kb = kb();
+            kb.set_entity_budget(6);
+            let k2 = KalisId::new("K2");
+            let mut snapshot = None;
+            for (i, (op, label, entity, n)) in ops.into_iter().enumerate() {
+                if i == split {
+                    kb.drain_changes();
+                    snapshot = Some(kb.entries.clone());
+                }
+                let label = ["Multihop", "A", "SignalStrength", "TrafficFrequency.UDP", "X", "Mobile"]
+                    [usize::from(label)];
+                let entity = Entity::new(format!("E{entity}"));
+                let value = match n % 4 {
+                    0 => KnowValue::Bool(n % 8 == 0),
+                    1 => KnowValue::Int(n),
+                    2 => KnowValue::Float(n as f64 / 4.0),
+                    _ => KnowValue::Text(format!("t{}", n % 5)),
+                };
+                match op {
+                    0 => {
+                        kb.insert(label, value);
+                    }
+                    1 => {
+                        kb.insert_about(label, entity, value);
+                    }
+                    2 => {
+                        kb.remove(label);
+                    }
+                    3 => {
+                        kb.remove_about(label, &entity);
+                    }
+                    4 => kb.set_entity_budget(1 + (n % 8) as usize),
+                    5 => {
+                        kb.insert_about_collective(label, entity, value);
+                    }
+                    6 => {
+                        let _ = kb.accept_remote(&k2, Knowgget::new(label, value, k2.clone()));
+                    }
+                    _ => {
+                        let remote = Knowgget::about(label, value, k2.clone(), entity);
+                        let _ = kb.accept_remote(&k2, remote);
+                    }
+                }
+            }
+            let mut replayed = snapshot.unwrap_or_default();
+            for change in kb.drain_changes() {
+                let encoded = change.key.encode();
+                if change.removed {
+                    replayed.remove(&encoded);
+                } else {
+                    replayed.insert(encoded, change.value.to_wire());
+                }
+            }
+            proptest::prop_assert_eq!(&replayed, &kb.entries);
+        }
     }
 }

@@ -1,19 +1,25 @@
 //! The Module Manager: routes packets to active modules and re-evaluates
 //! activation whenever the Knowledge Base changes.
 //!
+//! Re-evaluation is incremental: each slot keeps the label patterns its
+//! contract declares as activation reads, and a pass calls `required()`
+//! only for slots whose patterns match a label in the change batch (plus
+//! stale slots and slots that declare no activation reads).
+//!
 //! Every dispatch is supervised (see [`super::supervisor`]): panics are
 //! caught and isolated, watchdog-budget overruns are tracked, crash-looping
 //! modules are quarantined with exponential backoff, and under overload
 //! unpinned detection modules see sampled dispatch in priority order.
 
-use kalis_packets::CapturedPacket;
+use kalis_packets::{CapturedPacket, Timestamp};
 
-use crate::knowledge::KnowledgeBase;
+use crate::knowledge::{ChangeEvent, KnowledgeBase};
 
 use super::supervisor::{ModuleHealth, ShedMode, Supervision, SupervisorConfig, SupervisorVerdict};
-use super::{Module, ModuleCtx, ModuleKind, ModuleWeight};
+use super::{KeyPattern, Module, ModuleCtx, ModuleKind, ModuleWeight};
 
 use kalis_telemetry::{metric_name, names, Counter, Gauge, Histogram, JournalEvent, Telemetry};
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -23,6 +29,18 @@ struct Slot {
     active: bool,
     /// Activated by configuration: stays on regardless of knowledge.
     pinned: bool,
+    /// An unpinned detection module: in an adaptive manager its
+    /// activation follows the knowledge. Sensing and pinned modules
+    /// stay on and never call `required()`.
+    gated: bool,
+    /// Patterns of the contract's activation reads, filled in when the
+    /// manager builds its [`ActivationIndex`]. Empty after that means the
+    /// module declares none and is re-evaluated on every pass.
+    activation_reads: Vec<KeyPattern>,
+    /// `active` may disagree with `required()`: the slot was never
+    /// evaluated, or a pass skipped it while quarantined. The next pass
+    /// evaluates it whatever changed.
+    stale: bool,
     /// Panic/budget/quarantine bookkeeping for this module.
     supervision: Supervision,
     /// Shed-eligible dispatches seen; drives the deterministic 1-in-N
@@ -151,8 +169,10 @@ pub struct ModuleManager {
     /// the paper's evaluation ("running our system without Knowledge Base,
     /// and with all the modules active at all times").
     adaptive: bool,
-    activations: u64,
-    deactivations: u64,
+    /// Built on the first incremental pass that consults it; dropped by
+    /// [`ModuleManager::add`] so the next pass rebuilds it.
+    index: Option<ActivationIndex>,
+    flips: Flips,
     supervisor: SupervisorConfig,
     stats: SupervisorStats,
     tele: Option<ManagerTele>,
@@ -167,6 +187,107 @@ pub struct ModuleManager {
 /// (When a watchdog budget is configured, every dispatch is timed
 /// regardless — the budget check cannot sample.)
 const DISPATCH_SAMPLE_MASK: u64 = 7;
+
+/// The union of the gated slots' activation-read patterns, so a pass
+/// drops the changes no module gates on with one lookup per label.
+#[derive(Debug, Default)]
+struct ActivationIndex {
+    exact: BTreeSet<String>,
+    families: Vec<KeyPattern>,
+}
+
+impl ActivationIndex {
+    /// Fill every gated slot's `activation_reads` from its contract and
+    /// collect their union.
+    fn build(slots: &mut [Slot]) -> Self {
+        let mut index = ActivationIndex::default();
+        for slot in slots.iter_mut().filter(|s| s.gated) {
+            slot.activation_reads = slot
+                .module
+                .contract()
+                .activation_inputs()
+                .map(|k| k.pattern.clone())
+                .collect();
+            for pattern in &slot.activation_reads {
+                match pattern {
+                    KeyPattern::Exact(label) => {
+                        index.exact.insert(label.clone());
+                    }
+                    KeyPattern::Family(_) => index.families.push(pattern.clone()),
+                }
+            }
+        }
+        index
+    }
+
+    fn covers(&self, label: &str) -> bool {
+        self.exact.contains(label) || self.families.iter().any(|p| p.matches(label))
+    }
+}
+
+/// Lifetime activation flips. Kept apart from the slot list so a flip
+/// can be recorded while the slots are borrowed.
+#[derive(Debug, Default, Clone, Copy)]
+struct Flips {
+    activations: u64,
+    deactivations: u64,
+}
+
+impl Flips {
+    /// Set `slot`'s active bit to `want`, count the flip and journal it
+    /// against `trigger`. Call only when `want` differs from the bit.
+    fn record(
+        &mut self,
+        slot: &mut Slot,
+        want: bool,
+        tele: Option<&ManagerTele>,
+        time_us: u64,
+        trigger: &str,
+    ) {
+        slot.active = want;
+        if want {
+            self.activations += 1;
+        } else {
+            self.deactivations += 1;
+        }
+        if let Some(t) = tele {
+            let module = slot.module.descriptor().name.to_string();
+            let trigger = trigger.to_string();
+            let event = if want {
+                t.activated.inc();
+                JournalEvent::ModuleActivated { module, trigger }
+            } else {
+                t.deactivated.inc();
+                JournalEvent::ModuleDeactivated { module, trigger }
+            };
+            t.registry.journal().record(time_us, event);
+        }
+    }
+}
+
+/// Summarize a batch of knowledge changes as the `trigger` string
+/// recorded with every module flip in the journal's audit trail.
+fn describe_trigger(changes: &[ChangeEvent]) -> String {
+    let mut parts: Vec<String> = changes
+        .iter()
+        .take(3)
+        .map(|c| {
+            if c.removed {
+                format!("-{}", c.key.encode())
+            } else {
+                c.key.encode()
+            }
+        })
+        .collect();
+    if changes.len() > 3 {
+        parts.push(format!("+{} more", changes.len() - 3));
+    }
+    parts.join(",")
+}
+
+/// Journal trigger of a module deactivated on release from quarantine
+/// because its knowledge stopped requiring it meanwhile.
+const PROBATION_TRIGGER: &str = "probation: not required";
 
 /// Human-readable panic payload for the journal.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -198,8 +319,8 @@ impl ModuleManager {
         ModuleManager {
             slots: Vec::new(),
             adaptive: true,
-            activations: 0,
-            deactivations: 0,
+            index: None,
+            flips: Flips::default(),
             supervisor: SupervisorConfig::default(),
             stats: SupervisorStats::default(),
             tele: None,
@@ -239,11 +360,15 @@ impl ModuleManager {
     /// Add a module. `pinned` modules (named in the configuration file)
     /// start active and stay active.
     pub fn add(&mut self, module: Box<dyn Module>, pinned: bool) {
-        let active = pinned || !self.adaptive || module.descriptor().kind == ModuleKind::Sensing;
+        let gated = !pinned && module.descriptor().kind == ModuleKind::Detection;
+        self.index = None;
         self.slots.push(Slot {
             module,
-            active,
+            active: !gated || !self.adaptive,
             pinned,
+            gated,
+            activation_reads: Vec::new(),
+            stale: true,
             supervision: Supervision::default(),
             shed_seq: 0,
             cpu_ns: 0,
@@ -314,70 +439,65 @@ impl ModuleManager {
     /// Re-evaluate every module's activation against the Knowledge Base.
     /// Returns `(activated, deactivated)` counts for this pass.
     pub fn reconfigure(&mut self, kb: &KnowledgeBase) -> (usize, usize) {
-        self.apply_reconfigure(kb, "", 0)
+        self.apply_reconfigure(kb, None, 0)
     }
 
-    /// Like [`ModuleManager::reconfigure`], but journals every activation
-    /// flip with the knowgget change(s) that triggered it and the capture
-    /// time — the audit trail of the knowledge-driven adaptation loop.
+    /// Re-evaluate activation after the knowledge `changes` (drained
+    /// from `kb`), and journal every flip with the changed keys and the
+    /// capture time — the audit trail of the knowledge-driven adaptation
+    /// loop. Only slots whose declared activation reads match a changed
+    /// label are re-evaluated (plus stale and undeclared ones); every
+    /// other slot keeps its active bit.
     pub fn reconfigure_traced(
         &mut self,
         kb: &KnowledgeBase,
-        trigger: &str,
+        changes: &[ChangeEvent],
         time_us: u64,
     ) -> (usize, usize) {
-        self.apply_reconfigure(kb, trigger, time_us)
+        self.apply_reconfigure(kb, Some(changes), time_us)
     }
 
+    /// One activation pass. `changes == None` is the full sweep: every
+    /// unpinned detection slot is re-evaluated.
     fn apply_reconfigure(
         &mut self,
         kb: &KnowledgeBase,
-        trigger: &str,
+        changes: Option<&[ChangeEvent]>,
         time_us: u64,
     ) -> (usize, usize) {
         if !self.adaptive {
             return (0, 0);
         }
+        let gating = changes.map(|changes| self.gating_labels(changes));
         let mut activated = 0;
         let mut deactivated = 0;
+        let mut trigger: Option<String> = None;
         for slot in &mut self.slots {
             // Quarantined modules sit out activation entirely: the
             // supervisor owns their lifecycle until probation.
             if slot.supervision.is_quarantined() {
+                slot.stale = true;
                 continue;
             }
-            // Sensing modules are the knowledge source; they stay on.
-            let want = slot.pinned
-                || slot.module.descriptor().kind == ModuleKind::Sensing
-                || slot.module.required(kb);
-            if want && !slot.active {
-                slot.active = true;
-                activated += 1;
-                self.activations += 1;
-                if let Some(t) = &self.tele {
-                    t.activated.inc();
-                    t.registry.journal().record(
-                        time_us,
-                        JournalEvent::ModuleActivated {
-                            module: slot.module.descriptor().name.to_string(),
-                            trigger: trigger.to_string(),
-                        },
-                    );
+            // Sensing modules are the knowledge source and pinned ones
+            // are on by configuration: neither consults the knowledge.
+            let want = !slot.gated
+                || if Self::needs_evaluation(slot, gating.as_deref()) {
+                    slot.stale = false;
+                    slot.module.required(kb)
+                } else {
+                    slot.active
+                };
+            if want != slot.active {
+                if want {
+                    activated += 1;
+                } else {
+                    deactivated += 1;
                 }
-            } else if !want && slot.active {
-                slot.active = false;
-                deactivated += 1;
-                self.deactivations += 1;
-                if let Some(t) = &self.tele {
-                    t.deactivated.inc();
-                    t.registry.journal().record(
-                        time_us,
-                        JournalEvent::ModuleDeactivated {
-                            module: slot.module.descriptor().name.to_string(),
-                            trigger: trigger.to_string(),
-                        },
-                    );
-                }
+                let trigger = trigger
+                    .get_or_insert_with(|| changes.map(describe_trigger).unwrap_or_default());
+                self.flips
+                    .record(slot, want, self.tele.as_ref(), time_us, trigger);
             }
         }
         if activated + deactivated > 0 {
@@ -386,6 +506,85 @@ impl ModuleManager {
             }
         }
         (activated, deactivated)
+    }
+
+    /// The distinct labels in `changes` that some gated module's
+    /// activation reads cover: usually none. Builds the index on the
+    /// first pass where a slot would consult it.
+    fn gating_labels<'c>(&mut self, changes: &'c [ChangeEvent]) -> Vec<&'c str> {
+        let mut labels = Vec::new();
+        if self.index.is_none() && self.slots.iter().all(|s| !s.gated || s.stale) {
+            // Every gated slot is evaluated this pass anyway.
+            return labels;
+        }
+        let index = self
+            .index
+            .get_or_insert_with(|| ActivationIndex::build(&mut self.slots));
+        let mut last = None;
+        for change in changes {
+            let label = change.key.label.as_str();
+            // Per-entity writes of one label usually arrive together
+            // (TrafficStats publishes in key order): look each run of a
+            // label up once.
+            if last == Some(label) {
+                continue;
+            }
+            last = Some(label);
+            if index.covers(label) && !labels.contains(&label) {
+                labels.push(label);
+            }
+        }
+        labels
+    }
+
+    /// Whether an unpinned detection slot must call `required()` in a
+    /// pass whose changes touch the activation labels `gating` (`None` =
+    /// full sweep). Labels ignore creator and entity, so a match covers
+    /// every key `required()` reads.
+    fn needs_evaluation(slot: &Slot, gating: Option<&[&str]>) -> bool {
+        let Some(labels) = gating else {
+            return true;
+        };
+        slot.stale
+            || slot.activation_reads.is_empty()
+            || labels
+                .iter()
+                .any(|l| slot.activation_reads.iter().any(|p| p.matches(l)))
+    }
+
+    /// Probation gate for a quarantined slot at dispatch time: `None`
+    /// while its backoff holds. Otherwise the module is released and
+    /// the result says whether it may run: a stale slot (activation
+    /// passes skipped it while it was benched) is re-checked against
+    /// the knowledge first, and deactivated if no longer required.
+    fn release(
+        slot: &mut Slot,
+        kb: &KnowledgeBase,
+        now: Timestamp,
+        cfg: &SupervisorConfig,
+        adaptive: bool,
+        flips: &mut Flips,
+        tele: Option<&ManagerTele>,
+    ) -> Option<bool> {
+        if !slot.supervision.try_release(now, cfg) {
+            return None;
+        }
+        if let Some(t) = tele {
+            t.registry.journal().record(
+                now.as_micros(),
+                JournalEvent::ModuleProbation {
+                    module: slot.module.descriptor().name.to_string(),
+                },
+            );
+        }
+        if adaptive && slot.gated && slot.stale {
+            slot.stale = false;
+            if !slot.module.required(kb) {
+                flips.record(slot, false, tele, now.as_micros(), PROBATION_TRIGGER);
+                return Some(false);
+            }
+        }
+        Some(true)
     }
 
     /// Route one packet to every active module (no shedding).
@@ -424,17 +623,19 @@ impl ModuleManager {
                 continue;
             }
             if slot.supervision.is_quarantined() {
-                if slot.supervision.try_release(ctx.now, cfg) {
-                    quarantine_releases += 1;
-                    if let Some(t) = &self.tele {
-                        t.registry.journal().record(
-                            ctx.now.as_micros(),
-                            JournalEvent::ModuleProbation {
-                                module: slot.module.descriptor().name.to_string(),
-                            },
-                        );
-                    }
-                } else {
+                let Some(run) = Self::release(
+                    slot,
+                    ctx.kb,
+                    ctx.now,
+                    cfg,
+                    self.adaptive,
+                    &mut self.flips,
+                    self.tele.as_ref(),
+                ) else {
+                    continue;
+                };
+                quarantine_releases += 1;
+                if !run {
                     continue;
                 }
             }
@@ -442,7 +643,7 @@ impl ModuleManager {
             // detection modules see deterministic 1-in-N sampling while
             // the overload controller is shedding.
             let descriptor = slot.module.descriptor();
-            if descriptor.kind == ModuleKind::Detection && !slot.pinned {
+            if slot.gated {
                 if let Some(keep) = shed_keep_interval(cfg, descriptor.weight, shed) {
                     let seq = slot.shed_seq;
                     slot.shed_seq = slot.shed_seq.wrapping_add(1);
@@ -591,17 +792,19 @@ impl ModuleManager {
                 continue;
             }
             if slot.supervision.is_quarantined() {
-                if slot.supervision.try_release(ctx.now, cfg) {
-                    quarantine_releases += 1;
-                    if let Some(t) = &self.tele {
-                        t.registry.journal().record(
-                            ctx.now.as_micros(),
-                            JournalEvent::ModuleProbation {
-                                module: slot.module.descriptor().name.to_string(),
-                            },
-                        );
-                    }
-                } else {
+                let Some(run) = Self::release(
+                    slot,
+                    ctx.kb,
+                    ctx.now,
+                    cfg,
+                    self.adaptive,
+                    &mut self.flips,
+                    self.tele.as_ref(),
+                ) else {
+                    continue;
+                };
+                quarantine_releases += 1;
+                if !run {
                     continue;
                 }
             }
@@ -859,7 +1062,7 @@ impl ModuleManager {
 
     /// Lifetime activation/deactivation counts.
     pub fn activation_stats(&self) -> (u64, u64) {
-        (self.activations, self.deactivations)
+        (self.flips.activations, self.flips.deactivations)
     }
 
     /// Rough live-state size across modules (RAM proxy). Inactive modules
@@ -894,7 +1097,7 @@ mod tests {
     use crate::modules::ModuleDescriptor;
     use bytes::Bytes;
     use core::time::Duration;
-    use kalis_packets::{Medium, Timestamp};
+    use kalis_packets::Medium;
 
     /// A detection module active only when `Multihop == true`.
     struct NeedsMultihop {
@@ -1354,5 +1557,253 @@ mod tests {
             "reconfigure leaves quarantined slots alone"
         );
         assert_eq!(mgr.quarantined_count(), 1);
+    }
+
+    /// A detection module gated on `Multihop == true` that panics while
+    /// `rage` is up and counts its clean dispatches and `required()`
+    /// calls.
+    struct GatedCrashy {
+        rage: Arc<std::sync::atomic::AtomicBool>,
+        runs: Arc<std::sync::atomic::AtomicU64>,
+        checks: Arc<std::sync::atomic::AtomicU64>,
+        declared: bool,
+    }
+
+    impl GatedCrashy {
+        fn new(declared: bool) -> Self {
+            GatedCrashy {
+                rage: Arc::default(),
+                runs: Arc::default(),
+                checks: Arc::default(),
+                declared,
+            }
+        }
+    }
+
+    impl Module for GatedCrashy {
+        fn descriptor(&self) -> ModuleDescriptor {
+            ModuleDescriptor::detection("GatedCrashy", AttackKind::Smurf)
+        }
+        fn contract(&self) -> crate::modules::KnowggetContract {
+            let contract = crate::modules::KnowggetContract::new();
+            if self.declared {
+                contract.reads_activation("Multihop", crate::modules::ValueType::Bool)
+            } else {
+                contract
+            }
+        }
+        fn required(&self, kb: &KnowledgeBase) -> bool {
+            self.checks
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            kb.get_bool("Multihop") == Some(true)
+        }
+        fn on_packet(&mut self, _ctx: &mut ModuleCtx<'_>, _packet: &CapturedPacket) {
+            if self.rage.load(std::sync::atomic::Ordering::Relaxed) {
+                panic!("crafted packet tripped Crashy (gated)");
+            }
+            self.runs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    fn dispatch_at(
+        mgr: &mut ModuleManager,
+        kb: &mut KnowledgeBase,
+        now: Timestamp,
+    ) -> DispatchOutcome {
+        let mut alerts = Vec::new();
+        let mut ctx = ModuleCtx {
+            now,
+            kb,
+            alerts: &mut alerts,
+        };
+        mgr.dispatch_packet(&mut ctx, &packet())
+    }
+
+    fn apply(mgr: &mut ModuleManager, kb: &mut KnowledgeBase) -> (usize, usize) {
+        let changes = kb.drain_changes();
+        mgr.reconfigure_traced(kb, &changes, 0)
+    }
+
+    #[test]
+    fn incremental_pass_evaluates_only_matching_slots() {
+        let (mut kb, _) = ctx_parts();
+        let declared = GatedCrashy::new(true);
+        let undeclared = GatedCrashy::new(false);
+        let (declared_checks, undeclared_checks) =
+            (Arc::clone(&declared.checks), Arc::clone(&undeclared.checks));
+        let checks = || {
+            (
+                declared_checks.load(std::sync::atomic::Ordering::Relaxed),
+                undeclared_checks.load(std::sync::atomic::Ordering::Relaxed),
+            )
+        };
+        let mut mgr = ModuleManager::new();
+        mgr.add(Box::new(declared), false);
+        mgr.add(Box::new(undeclared), false);
+
+        // Fresh slots are stale: the first pass evaluates both, even
+        // with nothing changed.
+        assert_eq!(apply(&mut mgr, &mut kb), (0, 0));
+        assert_eq!(checks(), (1, 1));
+
+        // A change no activation read covers skips the declared slot;
+        // the undeclared one is re-evaluated on every pass.
+        kb.insert("TrafficFrequency.ICMP", 0.5);
+        kb.insert_about("Multihop.X", kalis_packets::Entity::new("A"), true);
+        assert_eq!(apply(&mut mgr, &mut kb), (0, 0));
+        assert_eq!(checks(), (1, 2));
+
+        // A change to the declared key re-evaluates it, whatever the
+        // creator or entity.
+        kb.insert("Multihop", true);
+        assert_eq!(apply(&mut mgr, &mut kb), (2, 0));
+        assert_eq!(checks(), (2, 3));
+        kb.insert_about("Multihop", kalis_packets::Entity::new("A"), false);
+        assert_eq!(apply(&mut mgr, &mut kb), (0, 0));
+        assert_eq!(checks(), (3, 4));
+
+        // The full sweep evaluates everything.
+        assert_eq!(mgr.reconfigure(&kb), (0, 0));
+        assert_eq!(checks(), (4, 5));
+    }
+
+    #[test]
+    fn module_added_later_is_evaluated_on_the_next_pass() {
+        let (mut kb, _) = ctx_parts();
+        let mut mgr = ModuleManager::new();
+        mgr.add(Box::new(NeedsMultihop { processed: 0 }), false);
+        kb.insert("Multihop", true);
+        assert_eq!(apply(&mut mgr, &mut kb), (1, 0));
+        // The knowledge the new module needs is already drained: only
+        // its stale bit gets it evaluated.
+        mgr.add(Box::new(GatedCrashy::new(true)), false);
+        kb.insert("TrafficFrequency.ICMP", 1i64);
+        assert_eq!(apply(&mut mgr, &mut kb), (1, 0));
+        assert_eq!(mgr.active_names(), vec!["NeedsMultihop", "GatedCrashy"]);
+    }
+
+    #[test]
+    fn flips_are_journaled_with_the_changed_keys() {
+        let (mut kb, _) = ctx_parts();
+        let tele = Arc::new(Telemetry::new());
+        let mut mgr = ModuleManager::new();
+        mgr.set_telemetry(&tele);
+        mgr.add(Box::new(NeedsMultihop { processed: 0 }), false);
+        for i in 0..4 {
+            kb.insert(format!("TrafficFrequency.C{i}"), 1i64);
+        }
+        kb.insert("Multihop", true);
+        assert_eq!(apply(&mut mgr, &mut kb), (1, 0));
+        kb.remove("Multihop");
+        assert_eq!(apply(&mut mgr, &mut kb), (0, 1));
+        let events: Vec<_> = tele
+            .journal()
+            .snapshot()
+            .records
+            .into_iter()
+            .map(|r| r.event)
+            .collect();
+        assert_eq!(
+            events,
+            vec![
+                JournalEvent::ModuleActivated {
+                    module: "NeedsMultihop".to_string(),
+                    trigger: "K1$TrafficFrequency.C0,K1$TrafficFrequency.C1,\
+                              K1$TrafficFrequency.C2,+2 more"
+                        .to_string(),
+                },
+                JournalEvent::ModuleDeactivated {
+                    module: "NeedsMultihop".to_string(),
+                    trigger: "-K1$Multihop".to_string(),
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn released_module_is_rechecked_against_its_knowledge() {
+        quiet_panics();
+        let (mut kb, _) = ctx_parts();
+        let tele = Arc::new(Telemetry::new());
+        let module = GatedCrashy::new(true);
+        let (rage, runs) = (Arc::clone(&module.rage), Arc::clone(&module.runs));
+        let mut mgr = ModuleManager::new();
+        mgr.set_telemetry(&tele);
+        mgr.add(Box::new(module), false);
+        kb.insert("Multihop", true);
+        apply(&mut mgr, &mut kb);
+        assert_eq!(mgr.active_count(), 1);
+
+        let cfg = SupervisorConfig::default();
+        rage.store(true, std::sync::atomic::Ordering::Relaxed);
+        for i in 0..cfg.panic_limit as u64 {
+            dispatch_at(&mut mgr, &mut kb, Timestamp::from_secs(i));
+        }
+        assert_eq!(
+            mgr.module_health("GatedCrashy"),
+            Some(ModuleHealth::Quarantined)
+        );
+
+        // The knowledge changes while the module is benched: the pass
+        // skips it, so its active bit is stale.
+        rage.store(false, std::sync::atomic::Ordering::Relaxed);
+        kb.insert("Multihop", false);
+        assert_eq!(apply(&mut mgr, &mut kb), (0, 0));
+
+        // On release the module is re-checked and deactivated instead
+        // of dispatched.
+        let after = Timestamp::from_secs(cfg.panic_limit as u64) + cfg.backoff_base;
+        let outcome = dispatch_at(&mut mgr, &mut kb, after);
+        assert_eq!(
+            outcome.work_units(),
+            0,
+            "a not-required module must not run"
+        );
+        assert_eq!(runs.load(std::sync::atomic::Ordering::Relaxed), 0);
+        assert_eq!(
+            mgr.module_health("GatedCrashy"),
+            Some(ModuleHealth::Degraded)
+        );
+        assert_eq!(mgr.active_count(), 0);
+        assert_eq!(mgr.activation_stats(), (1, 1));
+        assert_eq!(tele.counter(names::MODULES_DEACTIVATED).get(), 1);
+        let last = tele.journal().snapshot().records.pop().map(|r| r.event);
+        assert_eq!(
+            last,
+            Some(JournalEvent::ModuleDeactivated {
+                module: "GatedCrashy".to_string(),
+                trigger: PROBATION_TRIGGER.to_string(),
+            })
+        );
+
+        // The knowledge returns: the module comes back and runs.
+        kb.insert("Multihop", true);
+        assert_eq!(apply(&mut mgr, &mut kb), (1, 0));
+        let outcome = dispatch_at(&mut mgr, &mut kb, after);
+        assert_eq!(outcome.modules_run, 1);
+    }
+
+    #[test]
+    fn released_module_still_required_runs() {
+        quiet_panics();
+        let (mut kb, _) = ctx_parts();
+        let module = GatedCrashy::new(true);
+        let (rage, runs) = (Arc::clone(&module.rage), Arc::clone(&module.runs));
+        let mut mgr = ModuleManager::new();
+        mgr.add(Box::new(module), false);
+        kb.insert("Multihop", true);
+        apply(&mut mgr, &mut kb);
+        let cfg = SupervisorConfig::default();
+        rage.store(true, std::sync::atomic::Ordering::Relaxed);
+        for i in 0..cfg.panic_limit as u64 {
+            dispatch_at(&mut mgr, &mut kb, Timestamp::from_secs(i));
+        }
+        rage.store(false, std::sync::atomic::Ordering::Relaxed);
+        kb.insert("TrafficFrequency.ICMP", 1i64);
+        apply(&mut mgr, &mut kb);
+        let after = Timestamp::from_secs(cfg.panic_limit as u64) + cfg.backoff_base;
+        assert_eq!(dispatch_at(&mut mgr, &mut kb, after).modules_run, 1);
+        assert_eq!(runs.load(std::sync::atomic::Ordering::Relaxed), 1);
+        assert_eq!(mgr.activation_stats(), (1, 0));
     }
 }

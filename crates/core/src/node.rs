@@ -24,9 +24,8 @@ use crate::config::{Config, ModuleDef};
 use crate::error::KalisError;
 use crate::id::KalisId;
 use crate::knowledge::{
-    ChangeEvent, CollectiveSync, KnowKey, KnowValue, KnowledgeBase, PeerBeacon, PeerHealth,
-    ReceiptKind, SecureChannel, SyncConfig, SyncEvent, SyncMessage, SyncTransmit, XorChannel,
-    DEGRADED_LABEL,
+    CollectiveSync, KnowKey, KnowValue, KnowledgeBase, PeerBeacon, PeerHealth, ReceiptKind,
+    SecureChannel, SyncConfig, SyncEvent, SyncMessage, SyncTransmit, XorChannel, DEGRADED_LABEL,
 };
 use crate::metrics::ResourceMeter;
 use crate::modules::{
@@ -443,7 +442,7 @@ impl KalisBuilder {
         manager.set_telemetry(&tele);
         // Initial activation pass against the a-priori knowledge.
         let changes = kb.drain_changes();
-        manager.reconfigure_traced(&kb, &Kalis::describe_trigger(&changes), 0);
+        manager.reconfigure_traced(&kb, &changes, 0);
         let ops = match ops_config {
             None => None,
             Some(cfg) => {
@@ -1069,56 +1068,35 @@ impl Kalis {
         }
     }
 
-    /// Summarize a batch of knowledge changes as the `trigger` string
-    /// recorded with every module flip in the journal's audit trail.
-    fn describe_trigger(changes: &[ChangeEvent]) -> String {
-        let mut parts: Vec<String> = changes
-            .iter()
-            .take(3)
-            .map(|c| {
-                if c.removed {
-                    format!("-{}", c.key.encode())
-                } else {
-                    c.key.encode()
-                }
-            })
-            .collect();
-        if changes.len() > 3 {
-            parts.push(format!("+{} more", changes.len() - 3));
-        }
-        parts.join(",")
-    }
-
-    /// Drain pending knowledge changes and re-run module activation,
-    /// journaling the flips against the changed keys. Returns
-    /// `(activated, deactivated)`.
-    fn reconfigure_on_changes(&mut self, now: Timestamp, publish: bool) -> (usize, usize) {
+    /// Drain pending knowledge changes, re-run module activation
+    /// (journaling the flips against the changed keys), and publish the
+    /// batch on the event bus: one `KnowledgeChanged` per change, then
+    /// `ModulesReconfigured` if anything flipped.
+    fn reconfigure_on_changes(&mut self, now: Timestamp) {
         let changes = self.kb.drain_changes();
-        let trigger = Self::describe_trigger(&changes);
-        if publish {
-            for change in changes {
-                self.bus.publish(KalisEvent::KnowledgeChanged {
-                    key: change.key,
-                    value: change.value,
-                    removed: change.removed,
-                    trace_id: change.trace_id,
-                });
-            }
+        let (activated, deactivated) =
+            self.manager
+                .reconfigure_traced(&self.kb, &changes, now.as_micros());
+        for change in changes {
+            self.bus.publish(KalisEvent::KnowledgeChanged {
+                key: change.key,
+                value: change.value,
+                removed: change.removed,
+                trace_id: change.trace_id,
+            });
         }
-        self.manager
-            .reconfigure_traced(&self.kb, &trigger, now.as_micros())
+        if activated + deactivated > 0 {
+            self.bus.publish(KalisEvent::ModulesReconfigured {
+                time: now,
+                activated,
+                deactivated,
+            });
+        }
     }
 
     fn after_dispatch(&mut self, now: Timestamp) {
         if self.kb.has_changes() {
-            let (activated, deactivated) = self.reconfigure_on_changes(now, true);
-            if activated + deactivated > 0 {
-                self.bus.publish(KalisEvent::ModulesReconfigured {
-                    time: now,
-                    activated,
-                    deactivated,
-                });
-            }
+            self.reconfigure_on_changes(now);
         }
         // Stamp the causal trace on freshly raised alerts *before* the
         // bus/journal clone below, and assemble each one's provenance
@@ -1481,7 +1459,7 @@ impl Kalis {
     pub fn insert_knowledge(&mut self, label: &str, value: impl Into<KnowValue>) {
         self.kb.insert(label, value);
         let now = self.last_tick.unwrap_or(Timestamp::ZERO);
-        self.reconfigure_on_changes(now, false);
+        self.reconfigure_on_changes(now);
     }
 
     /// The response (countermeasure) engine.
@@ -1633,7 +1611,7 @@ impl Kalis {
         );
         if self.kb.has_changes() {
             let now = self.last_tick.unwrap_or(Timestamp::ZERO);
-            self.reconfigure_on_changes(now, false);
+            self.reconfigure_on_changes(now);
         }
         Ok(accepted)
     }
@@ -2082,7 +2060,7 @@ impl Kalis {
             } else {
                 self.kb.remove(DEGRADED_LABEL);
             }
-            self.reconfigure_on_changes(now, true);
+            self.reconfigure_on_changes(now);
         }
         // Degraded-mode flips change readiness; publish them to /readyz
         // immediately rather than waiting for the next tick or packet.
@@ -2274,6 +2252,40 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e, crate::bus::KalisEvent::ModulesReconfigured { .. })));
+
+        // Operator knowledge that flips the active set is published too.
+        let mut kalis = Kalis::builder(KalisId::new("K1"))
+            .with_default_modules()
+            .build();
+        let rx = kalis.subscribe();
+        kalis.insert_knowledge("Multihop", true);
+        let events: Vec<_> = rx.try_iter().collect();
+        assert!(events.iter().any(|e| matches!(
+            e,
+            crate::bus::KalisEvent::KnowledgeChanged { key, removed: false, .. }
+                if key.label == "Multihop"
+        )));
+        assert!(events.iter().any(|e| matches!(
+            e,
+            crate::bus::KalisEvent::ModulesReconfigured { activated, .. } if *activated > 0
+        )));
+
+        // So is knowledge accepted from a peer.
+        let message = SyncMessage::new(
+            KalisId::new("K2"),
+            vec![crate::knowledge::Knowgget::new(
+                "SignalStrength",
+                KnowValue::Float(-70.0),
+                KalisId::new("K2"),
+            )],
+        );
+        assert_eq!(kalis.accept_sync(message).unwrap(), 1);
+        let events: Vec<_> = rx.try_iter().collect();
+        assert!(events.iter().any(|e| matches!(
+            e,
+            crate::bus::KalisEvent::KnowledgeChanged { key, .. }
+                if key.creator.as_str() == "K2" && key.label == "SignalStrength"
+        )));
     }
 
     #[test]
