@@ -33,8 +33,9 @@
 //! 3. `SpaceSaving` top-K entries satisfy `count - error` ≤ true count
 //!    ≤ `count`.
 
+use std::borrow::Borrow;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
@@ -90,7 +91,8 @@ pub struct BoundedMap<K, V> {
     budget: usize,
     seq: u64,
     map: BTreeMap<K, (u64, V)>,
-    lru: BTreeSet<(u64, K)>,
+    /// Recency index: touch sequence → key, oldest first.
+    lru: BTreeMap<u64, K>,
     evictions: u64,
 }
 
@@ -101,7 +103,7 @@ impl<K: Ord + Clone, V> BoundedMap<K, V> {
             budget: budget.max(1),
             seq: 0,
             map: BTreeMap::new(),
-            lru: BTreeSet::new(),
+            lru: BTreeMap::new(),
             evictions: 0,
         }
     }
@@ -127,21 +129,32 @@ impl<K: Ord + Clone, V> BoundedMap<K, V> {
         self.evictions
     }
 
-    /// Whether `key` is present.
-    pub fn contains_key(&self, key: &K) -> bool {
+    /// Whether `key` is present. Like the other lookups, takes any
+    /// borrowed form of the key (`&str` for `String` keys).
+    pub fn contains_key<Q>(&self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+        Q: ?Sized + Ord,
+    {
         self.map.contains_key(key)
     }
 
     /// Non-touching read: does not refresh the entry's recency.
-    pub fn get(&self, key: &K) -> Option<&V> {
+    pub fn get<Q>(&self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: ?Sized + Ord,
+    {
         self.map.get(key).map(|(_, v)| v)
     }
 
     /// Touching read: refreshes the entry's recency.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        if self.map.contains_key(key) {
-            self.touch(key);
-        }
+    pub fn get_mut<Q>(&mut self, key: &Q) -> Option<&mut V>
+    where
+        K: Borrow<Q>,
+        Q: ?Sized + Ord,
+    {
+        self.touch(key);
         self.map.get_mut(key).map(|(_, v)| v)
     }
 
@@ -155,7 +168,7 @@ impl<K: Ord + Clone, V> BoundedMap<K, V> {
         }
         let evicted = self.make_room();
         self.seq += 1;
-        self.lru.insert((self.seq, key.clone()));
+        self.lru.insert(self.seq, key.clone());
         self.map.insert(key, (self.seq, value));
         evicted
     }
@@ -173,7 +186,7 @@ impl<K: Ord + Clone, V> BoundedMap<K, V> {
         } else {
             evicted = self.make_room();
             self.seq += 1;
-            self.lru.insert((self.seq, key.clone()));
+            self.lru.insert(self.seq, key.clone());
             self.map.insert(key.clone(), (self.seq, default()));
         }
         let v = self
@@ -185,9 +198,13 @@ impl<K: Ord + Clone, V> BoundedMap<K, V> {
     }
 
     /// Remove `key`, returning its value (not counted as an eviction).
-    pub fn remove(&mut self, key: &K) -> Option<V> {
+    pub fn remove<Q>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: ?Sized + Ord,
+    {
         let (seq, v) = self.map.remove(key)?;
-        self.lru.remove(&(seq, key.clone()));
+        self.lru.remove(&seq);
         Some(v)
     }
 
@@ -227,24 +244,29 @@ impl<K: Ord + Clone, V> BoundedMap<K, V> {
         self.evictions = 0;
     }
 
-    fn touch(&mut self, key: &K) {
-        if let Some((seq, _)) = self.map.get(key) {
-            self.lru.remove(&(*seq, key.clone()));
-            self.seq += 1;
-            self.lru.insert((self.seq, key.clone()));
-            let next = self.seq;
-            if let Some(slot) = self.map.get_mut(key) {
-                slot.0 = next;
-            }
-        }
+    /// Move `key` (if present) to the most-recent end, reusing its
+    /// stored key so a touch never clones one.
+    fn touch<Q>(&mut self, key: &Q)
+    where
+        K: Borrow<Q>,
+        Q: ?Sized + Ord,
+    {
+        let Some(slot) = self.map.get_mut(key) else {
+            return;
+        };
+        let Some(owned) = self.lru.remove(&slot.0) else {
+            return;
+        };
+        self.seq += 1;
+        slot.0 = self.seq;
+        self.lru.insert(self.seq, owned);
     }
 
     fn make_room(&mut self) -> Option<(K, V)> {
         if self.map.len() < self.budget {
             return None;
         }
-        let (seq, key) = self.lru.iter().next()?.clone();
-        self.lru.remove(&(seq, key.clone()));
+        let (_, key) = self.lru.pop_first()?;
         let (_, value) = self.map.remove(&key)?;
         self.evictions += 1;
         Some((key, value))

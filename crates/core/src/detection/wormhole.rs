@@ -81,11 +81,17 @@ impl Default for WormholeModule {
 }
 
 // kalis-lint: allow(KL301): parses one capped knowgget text value
-fn parse_set(text: &str) -> BTreeSet<String> {
-    text.split(',')
-        .filter(|s| !s.is_empty())
-        .map(str::to_owned)
-        .collect()
+fn parse_set(text: &str) -> BTreeSet<&str> {
+    text.split(',').filter(|s| !s.is_empty()).collect()
+}
+
+/// The text of an origin-set knowgget, moving a `Text` value's string
+/// instead of copying it.
+fn set_text(value: KnowValue) -> String {
+    match value {
+        KnowValue::Text(text) => text,
+        other => other.as_text(),
+    }
 }
 
 impl Module for WormholeModule {
@@ -146,29 +152,45 @@ impl Module for WormholeModule {
             return;
         }
         // Correlate across creators: dropped-at-B1 (peer) × exotic-at-B2
-        // (any creator, including us).
+        // (any creator, including us). Each exotic set is parsed once per
+        // tick, not once per dropped set it is compared with.
         let dropped = ctx.kb.get_all_creators(labels::DROPPED_ORIGINS);
-        let exotic = ctx.kb.get_all_creators(labels::EXOTIC_ORIGINS);
+        // kalis-lint: allow(KL301): per-tick scratch over synced knowggets
+        let exotic_texts: Vec<_> = ctx
+            .kb
+            .get_all_creators(labels::EXOTIC_ORIGINS)
+            .into_iter()
+            .filter_map(|(creator, entity, value)| Some((creator, entity?, set_text(value))))
+            .collect();
+        // kalis-lint: allow(KL301): per-tick scratch over synced knowggets
+        let exotic: Vec<_> = exotic_texts
+            .iter()
+            .map(|(creator, entity, text)| (creator, entity, parse_set(text)))
+            .collect();
         let now = ctx.now;
         let mut alerts = Vec::new();
+        // Distinct endpoints in first-confirmed order: an endpoint in
+        // several overlapping pairs is written once per tick.
         // kalis-lint: allow(KL301): per-tick scratch over synced knowggets
         let mut confirmed: Vec<Entity> = Vec::new();
-        for (d_creator, d_entity, d_val) in &dropped {
+        for (d_creator, d_entity, d_val) in dropped {
             let Some(b1) = d_entity else { continue };
-            let d_set = parse_set(&d_val.as_text());
-            for (e_creator, e_entity, e_val) in &exotic {
-                if d_creator == e_creator {
+            let d_text = set_text(d_val);
+            let d_set = parse_set(&d_text);
+            for &(e_creator, b2, ref e_set) in &exotic {
+                if d_creator == *e_creator {
                     continue; // one vantage point alone is not a wormhole
                 }
-                let Some(b2) = e_entity else { continue };
-                if b1 == b2 {
+                if b1 == *b2 {
                     continue;
                 }
-                let e_set = parse_set(&e_val.as_text());
-                let overlap = d_set.intersection(&e_set).count();
+                let overlap = d_set.intersection(e_set).count();
                 if overlap >= OVERLAP_THRESHOLD {
-                    confirmed.push(b1.clone());
-                    confirmed.push(b2.clone());
+                    for endpoint in [&b1, b2] {
+                        if !confirmed.contains(endpoint) {
+                            confirmed.push(endpoint.clone());
+                        }
+                    }
                     if self.gate.permit((b1.clone(), b2.clone()), now) {
                         alerts.push(
                             Alert::new(now, AttackKind::Wormhole, "WormholeModule")
@@ -309,7 +331,8 @@ mod tests {
         let val = kb
             .get_about(labels::EXOTIC_ORIGINS, &Entity::from(ShortAddr(20)))
             .unwrap();
-        let set = parse_set(&val.as_text());
+        let text = val.as_text();
+        let set = parse_set(&text);
         assert_eq!(set.len(), 2);
     }
 
@@ -408,6 +431,49 @@ mod tests {
             format!("{},{}", ShortAddr(30), ShortAddr(31)),
         );
         assert!(tick(&mut module, &mut kb, 1000).is_empty());
+    }
+
+    #[test]
+    fn an_endpoint_in_several_pairs_is_confirmed_once_per_tick() {
+        let mut module = WormholeModule::new();
+        let mut kb = KnowledgeBase::new(KalisId::new("K2"));
+        feed(
+            &mut module,
+            &mut kb,
+            vec![relayed(0, 20, 30, 1), relayed(100, 20, 31, 1)],
+        );
+        // Two peers report the same B1 (10) dropping the same origins:
+        // two overlapping (dropped, exotic) pairs share both endpoints.
+        for peer in ["K1", "K3"] {
+            let peer = KalisId::new(peer);
+            kb.accept_remote(
+                &peer,
+                Knowgget::about(
+                    labels::DROPPED_ORIGINS,
+                    KnowValue::Text(format!("{},{}", ShortAddr(30), ShortAddr(31))),
+                    peer.clone(),
+                    Entity::from(ShortAddr(10)),
+                ),
+            )
+            .unwrap();
+        }
+        let telemetry = kalis_telemetry::Telemetry::new();
+        kb.set_telemetry(&telemetry);
+        let inserts = telemetry.counter(&kalis_telemetry::metric_name(
+            kalis_telemetry::names::KB_OPS,
+            &[("op", "insert")],
+        ));
+        let alerts = tick(&mut module, &mut kb, 1000);
+        assert_eq!(alerts.len(), 1, "one (B1, B2) pair, gated once");
+        assert_eq!(inserts.get(), 2, "B1 and B2 each written once");
+        for b in [10, 20] {
+            assert_eq!(
+                kb.get_about(WORMHOLE_CONFIRMED, &Entity::from(ShortAddr(b))),
+                Some(KnowValue::Bool(true))
+            );
+        }
+        tick(&mut module, &mut kb, 2000);
+        assert_eq!(inserts.get(), 4, "and once each on the next tick");
     }
 
     #[test]

@@ -1,7 +1,52 @@
-//! The Knowledge Base proper: a string-keyed store with the paper's
-//! prefix/suffix query patterns and change tracking.
+//! The Knowledge Base proper: a structured entry table with the paper's
+//! query shapes (exact, per-entity, multilevel family, every creator)
+//! and change tracking.
+//!
+//! # Storage layout
+//!
+//! Knowggets are stored by their parts, never as encoded strings:
+//!
+//! ```text
+//! own:   label -> Slot                      the local node's knowledge
+//! peers: [(creator, label -> Slot)]         remote creators, in key order
+//! Slot:  { network-level Entry, entity -> Entry }
+//! Entry: { canonical KnowValue, wire length, collective, dirty, origin }
+//! ```
+//!
+//! The canonical value is what [`KnowValue::from_wire`] gives back for
+//! the value's wire text, so a read returns a stored clone instead of
+//! parsing. Whether a write changes anything still means "the wire text
+//! differs" (`Float(3.0)` rewrites `Int(3)` without a change, a `NaN`
+//! rewrites a `NaN` without a change, `Text("1.50")` changes
+//! `Float(1.5)`). The comparison streams the new value's wire form
+//! against the entry without building it. The rare write whose wire
+//! text is not its canonical value's own (a `Text` such as `"1.50"` or
+//! `"007"`) keeps that text in the entry for the comparison.
+//!
+//! # Where strings are encoded
+//!
+//! A lookup, a write that changes nothing and a removal of an absent
+//! key allocate nothing beyond what the caller passes in. The paper's
+//! flat `creator$label@entity` key and the `to_wire()` text appear only
+//! at the edges: the [`ChangeEvent`] of a real change, [`KnowledgeBase::iter`],
+//! [`KnowledgeBase::drain_dirty_collective`],
+//! [`KnowledgeBase::collective_knowggets`], provenance lookups
+//! ([`KnowledgeBase::origin_of_encoded`]) and the sync layer, which
+//! encodes the knowggets those edges return.
+//!
+//! # Ordering guarantee
+//!
+//! Every query and edge that returns several knowggets returns them in
+//! byte order of their encoded keys, the order of the string-keyed store
+//! this table replaced. Across creators, the table order is that order
+//! (a creator id cannot contain `$`, so comparing `creator$` decides).
+//! Within one creator, label order is not: `Foo.Bar` and `Foo2` sort
+//! before `Foo@e`. So the edges that span several labels sort with
+//! `tail_cmp`, which compares the encoded bytes without building them.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 
 use kalis_packets::Entity;
 
@@ -35,9 +80,63 @@ struct KbStats {
 }
 
 /// The footprint one stored entry is charged in
-/// [`KnowledgeBase::state_bytes`].
-fn entry_bytes(encoded: &str, wire: &str) -> usize {
-    encoded.len() + wire.len() + 48
+/// [`KnowledgeBase::state_bytes`]: its encoded key and wire text plus a
+/// fixed overhead.
+fn entry_bytes(creator: &KalisId, label: &str, entity: Option<&Entity>, wire_len: usize) -> usize {
+    let encoded =
+        creator.as_str().len() + 1 + label.len() + entity.map_or(0, |e| e.as_str().len() + 1);
+    encoded + wire_len + 48
+}
+
+/// The bytes of an encoded key after `creator$`: `label` or
+/// `label@entity`.
+fn tail<'a>(label: &'a str, entity: Option<&'a Entity>) -> impl Iterator<Item = u8> + 'a {
+    let entity = entity.map(Entity::as_str);
+    label.bytes().chain(
+        entity
+            .into_iter()
+            .flat_map(|e| Some(b'@').into_iter().chain(e.bytes())),
+    )
+}
+
+/// Byte order of two encoded keys of the same creator. Only keys whose
+/// labels are one a prefix of the other need more than a slice compare.
+fn tail_cmp(a: (&str, Option<&Entity>), b: (&str, Option<&Entity>)) -> Ordering {
+    let (la, lb) = (a.0.as_bytes(), b.0.as_bytes());
+    let n = la.len().min(lb.len());
+    if la[..n] != lb[..n] {
+        return la[..n].cmp(&lb[..n]);
+    }
+    // After the shorter label comes `@entity` (or nothing); after the
+    // same bytes, the longer label goes on with its next byte.
+    let after_short = |entity: Option<&Entity>, next: u8| match entity {
+        None => Some(Ordering::Less),
+        Some(_) if next != b'@' => Some(b'@'.cmp(&next)),
+        Some(_) => None,
+    };
+    let fast = match (la.get(n), lb.get(n)) {
+        // Same label: the network-level entry first, then entities.
+        (None, None) => Some(a.1.map(Entity::as_str).cmp(&b.1.map(Entity::as_str))),
+        (None, Some(&next)) => after_short(a.1, next),
+        (Some(&next), None) => after_short(b.1, next).map(Ordering::reverse),
+        (Some(_), Some(_)) => None,
+    };
+    fast.unwrap_or_else(|| tail(a.0, a.1).cmp(tail(b.0, b.1)))
+}
+
+/// Byte order of `creator$` prefixes, which decides the order of two
+/// encoded keys of different creators.
+fn creator_cmp(a: &KalisId, b: &KalisId) -> Ordering {
+    fn dollar(id: &KalisId) -> impl Iterator<Item = u8> + '_ {
+        id.as_str().bytes().chain(Some(b'$'))
+    }
+    dollar(a).cmp(dollar(b))
+}
+
+/// Byte order of two encoded keys.
+fn key_cmp(a: &Knowgget, b: &Knowgget) -> Ordering {
+    creator_cmp(&a.creator, &b.creator)
+        .then_with(|| tail_cmp((&a.label, a.entity.as_ref()), (&b.label, b.entity.as_ref())))
 }
 
 /// A change to the Knowledge Base, consumed by the Module Manager to
@@ -56,14 +155,151 @@ pub struct ChangeEvent {
     pub trace_id: u64,
 }
 
+/// One stored knowgget.
+#[derive(Debug, Clone)]
+struct Entry {
+    /// The canonical value: what `from_wire` returns for the wire text.
+    value: KnowValue,
+    /// The wire text, kept only when it is not `value`'s own wire form.
+    raw: Option<Box<str>>,
+    /// Length of the wire text.
+    wire_len: usize,
+    /// Shared with peers on change (paper §IV-B3).
+    collective: bool,
+    /// Changed since the last [`KnowledgeBase::drain_dirty_collective`].
+    dirty: bool,
+    /// Which module last changed the value, and under which trace.
+    /// Only a real change re-attributes, so replayed or duplicated
+    /// writes cannot churn the recorded provenance.
+    origin: Option<KnowggetOrigin>,
+}
+
+impl Entry {
+    /// The entry a changing write stores.
+    fn new(value: &KnowValue, collective: bool, origin: Option<KnowggetOrigin>) -> Self {
+        let (value, raw) = match value {
+            // These print a wire text that parses back to themselves.
+            KnowValue::Bool(_) | KnowValue::Int(_) => (value.clone(), None),
+            KnowValue::Float(x) if x.is_finite() && x.fract() != 0.0 => (value.clone(), None),
+            KnowValue::Text(wire) => Self::canonical(wire),
+            KnowValue::Float(_) => Self::canonical(&value.to_wire()),
+        };
+        let wire_len = raw.as_deref().map_or_else(|| value.wire_len(), str::len);
+        Entry {
+            value,
+            raw,
+            wire_len,
+            collective,
+            dirty: collective,
+            origin,
+        }
+    }
+
+    /// The canonical value of a wire text, and the text itself when the
+    /// canonical value prints differently.
+    fn canonical(wire: &str) -> (KnowValue, Option<Box<str>>) {
+        let value = KnowValue::from_wire(wire);
+        let raw = (!value.wire_eq_str(wire)).then(|| wire.into());
+        (value, raw)
+    }
+
+    /// Whether `value` has exactly this entry's wire text.
+    fn holds(&self, value: &KnowValue) -> bool {
+        match &self.raw {
+            Some(raw) => value.wire_eq_str(raw),
+            None => value.wire_eq(&self.value),
+        }
+    }
+}
+
+/// Everything stored under one (creator, label).
+#[derive(Debug, Clone, Default)]
+struct Slot {
+    network: Option<Entry>,
+    about: BTreeMap<Entity, Entry>,
+}
+
+impl Slot {
+    fn get(&self, entity: Option<&Entity>) -> Option<&Entry> {
+        match entity {
+            None => self.network.as_ref(),
+            Some(e) => self.about.get(e),
+        }
+    }
+
+    fn get_mut(&mut self, entity: Option<&Entity>) -> Option<&mut Entry> {
+        match entity {
+            None => self.network.as_mut(),
+            Some(e) => self.about.get_mut(e),
+        }
+    }
+
+    fn take(&mut self, entity: Option<&Entity>) -> Option<Entry> {
+        match entity {
+            None => self.network.take(),
+            Some(e) => self.about.remove(e),
+        }
+    }
+
+    fn put(&mut self, entity: Option<&Entity>, entry: Entry) {
+        match entity {
+            None => self.network = Some(entry),
+            Some(e) => match self.about.get_mut(e) {
+                Some(slot) => *slot = entry,
+                None => {
+                    self.about.insert(e.clone(), entry);
+                }
+            },
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.network.is_none() && self.about.is_empty()
+    }
+
+    /// The entries in encoded-key order: the network-level one first.
+    fn entries(&self) -> impl Iterator<Item = (Option<&Entity>, &Entry)> {
+        self.network
+            .iter()
+            .map(|entry| (None, entry))
+            .chain(self.about.iter().map(|(e, entry)| (Some(e), entry)))
+    }
+}
+
+/// One creator's knowledge, by label.
+type Labels = BTreeMap<Box<str>, Slot>;
+
+/// A stored entry with its key parts, as the edges walk them.
+type EntryRef<'a> = (&'a KalisId, &'a str, Option<&'a Entity>, &'a Entry);
+
+fn knowgget((creator, label, entity, entry): EntryRef<'_>) -> Knowgget {
+    Knowgget {
+        label: label.to_owned(),
+        value: entry.value.clone(),
+        creator: creator.clone(),
+        entity: entity.cloned(),
+        origin: entry.origin.clone(),
+    }
+}
+
 /// The centralized store of knowggets for one Kalis node.
 ///
-/// Keys are stored in the paper's flat encoding (`creator$label@entity`),
-/// which makes the three query shapes cheap (§V):
+/// Keys are the paper's `⟨creator, label, entity⟩` triple, held as a
+/// creator → label → entity table of entries (canonical value, wire
+/// length, collective and dirty flags, origin), which makes the query
+/// shapes of §V cheap:
 ///
-/// * **local vs collective**: prefix match on the local node id,
-/// * **per-entity**: suffix match on `@entity`,
-/// * **exact**: direct lookup.
+/// * **exact**: a local lookup by label (and entity),
+/// * **per-entity**: every entity under one local label,
+/// * **multilevel**: every local label of a `root.` family,
+/// * **collective**: one label across every creator.
+///
+/// Each query visits only the entries under its label or family. A
+/// lookup, a write that changes nothing and a removal of an absent key
+/// allocate nothing; the encoded `creator$label@entity` string is built
+/// only at the edges (change events, [`KnowledgeBase::iter`], the sync
+/// outbox, provenance). Every result list comes back in byte order of
+/// the encoded keys, as the paper's flat string store would list it.
 ///
 /// # Examples
 ///
@@ -79,30 +315,31 @@ pub struct ChangeEvent {
 #[derive(Debug, Clone)]
 pub struct KnowledgeBase {
     local: KalisId,
-    entries: BTreeMap<String, String>,
-    /// Running [`KnowledgeBase::state_bytes`] total over `entries`, kept
-    /// in step with every insert, removal and purge.
+    /// The local node's knowledge.
+    own: Labels,
+    /// Remote creators' knowledge, sorted by `creator_cmp`; a creator
+    /// whose last entry goes is dropped.
+    peers: Vec<(KalisId, Labels)>,
+    /// Entries stored across `own` and `peers`.
+    len: usize,
+    /// Running [`KnowledgeBase::state_bytes`] total, kept in step with
+    /// every insert, removal and purge.
     entry_bytes: usize,
-    collective: BTreeSet<String>,
-    dirty_collective: BTreeSet<String>,
+    /// Keys of the entries whose `dirty` flag is set: the sync outbox.
+    dirty: BTreeSet<KnowKey>,
     changes: Vec<ChangeEvent>,
     revision: u64,
-    /// Write provenance per encoded key: which module last changed the
-    /// value, and under which trace. Only updated when the stored value
-    /// actually changes, so replayed/duplicated writes cannot churn the
-    /// recorded provenance.
-    attribution: BTreeMap<String, KnowggetOrigin>,
     /// The module currently dispatching (set by the Module Manager
     /// around each callback); empty = operator/config/embedder write.
     writer: String,
     /// The trace context of the packet/tick being dispatched
     /// (`(trace_id, span_id)`; zeros = untraced).
     trace: (u64, u32),
-    /// Bounded index of per-entity knowledge: entity string → the
-    /// encoded keys of every knowgget about it. When a fresh entity
-    /// would exceed the budget, the least-recently-written entity is
-    /// evicted and all of its knowggets purged.
-    entity_index: BoundedMap<String, BTreeSet<String>>,
+    /// Bounded index of per-entity knowledge: entity → the (creator,
+    /// label) of every knowgget about it. When a fresh entity would
+    /// exceed the budget, the least-recently-written entity is evicted
+    /// and all of its knowggets purged.
+    entity_index: BoundedMap<Entity, Vec<(KalisId, Box<str>)>>,
     stats: Option<KbStats>,
 }
 
@@ -111,13 +348,13 @@ impl KnowledgeBase {
     pub fn new(local: KalisId) -> Self {
         KnowledgeBase {
             local,
-            entries: BTreeMap::new(),
+            own: Labels::new(),
+            peers: Vec::new(),
+            len: 0,
             entry_bytes: 0,
-            collective: BTreeSet::new(),
-            dirty_collective: BTreeSet::new(),
+            dirty: BTreeSet::new(),
             changes: Vec::new(),
             revision: 0,
-            attribution: BTreeMap::new(),
             writer: String::new(),
             trace: (0, 0),
             entity_index: BoundedMap::new(DEFAULT_KB_ENTITY_BUDGET),
@@ -190,89 +427,203 @@ impl KnowledgeBase {
         self.revision
     }
 
-    fn set_raw(&mut self, key: KnowKey, value: KnowValue, collective: bool) -> bool {
-        let origin = self.current_origin();
-        self.set_raw_with_origin(key, value, collective, origin)
+    /// The table of `creator`; `None` is the local node.
+    fn table(&self, creator: Option<&KalisId>) -> Option<&Labels> {
+        match creator {
+            None => Some(&self.own),
+            Some(c) => self.peer_index(c).ok().map(|i| &self.peers[i].1),
+        }
     }
 
-    fn set_raw_with_origin(
+    fn table_mut(&mut self, creator: Option<&KalisId>) -> Option<&mut Labels> {
+        match creator {
+            None => Some(&mut self.own),
+            Some(c) => {
+                let i = self.peer_index(c).ok()?;
+                Some(&mut self.peers[i].1)
+            }
+        }
+    }
+
+    fn peer_index(&self, creator: &KalisId) -> Result<usize, usize> {
+        self.peers
+            .binary_search_by(|(c, _)| creator_cmp(c, creator))
+    }
+
+    /// `None` for the local node, else `Some(creator)`.
+    fn remote<'a>(&self, creator: &'a KalisId) -> Option<&'a KalisId> {
+        (*creator != self.local).then_some(creator)
+    }
+
+    /// Every creator's table, in encoded-key order.
+    fn tables(&self) -> impl Iterator<Item = (&KalisId, &Labels)> {
+        let split = self
+            .peers
+            .partition_point(|(c, _)| creator_cmp(c, &self.local).is_lt());
+        let (before, after) = self.peers.split_at(split);
+        fn peer((c, t): &(KalisId, Labels)) -> (&KalisId, &Labels) {
+            (c, t)
+        }
+        before
+            .iter()
+            .map(peer)
+            .chain(Some((&self.local, &self.own)))
+            .chain(after.iter().map(peer))
+    }
+
+    /// Every entry in encoded-key order.
+    fn sorted(&self) -> Vec<EntryRef<'_>> {
+        let mut out = Vec::with_capacity(self.len);
+        for (creator, table) in self.tables() {
+            let start = out.len();
+            for (label, slot) in table {
+                out.extend(
+                    slot.entries()
+                        .map(|(e, entry)| (creator, &**label, e, entry)),
+                );
+            }
+            out[start..].sort_by(|a, b| tail_cmp((a.1, a.2), (b.1, b.2)));
+        }
+        out
+    }
+
+    /// Store `value` under (creator, label, entity) if its wire text
+    /// differs from the stored one; returns whether it did. `creator`
+    /// is `None` for the local node. The write's origin is built only
+    /// on a real change.
+    fn write(
         &mut self,
-        key: KnowKey,
+        creator: Option<&KalisId>,
+        label: &str,
+        entity: Option<Entity>,
         value: KnowValue,
         collective: bool,
-        origin: Option<KnowggetOrigin>,
+        origin: impl FnOnce(&Self) -> Option<KnowggetOrigin>,
     ) -> bool {
-        let encoded = key.encode();
-        let wire = value.to_wire();
-        let changed = self.entries.get(&encoded) != Some(&wire);
-        if collective {
-            self.collective.insert(encoded.clone());
+        let existing = self
+            .table_mut(creator)
+            .and_then(|t| t.get_mut(label))
+            .and_then(|slot| slot.get_mut(entity.as_ref()));
+        let (collective, was_dirty, old_wire) = match existing {
+            Some(entry) => {
+                entry.collective |= collective;
+                if entry.holds(&value) {
+                    return false;
+                }
+                (entry.collective, entry.dirty, Some(entry.wire_len))
+            }
+            None => (collective, false, None),
+        };
+        // A real change: from here on, allocating is fine.
+        let origin = origin(self);
+        let trace_id = origin.as_ref().map_or(0, |o| o.trace_id);
+        let entry = Entry::new(&value, collective, origin);
+        let key = KnowKey {
+            creator: creator.unwrap_or(&self.local).clone(),
+            label: label.to_owned(),
+            entity,
+        };
+        self.entry_bytes += entry_bytes(&key.creator, label, key.entity.as_ref(), entry.wire_len);
+        match old_wire {
+            Some(wire_len) => {
+                self.entry_bytes -= entry_bytes(&key.creator, label, key.entity.as_ref(), wire_len);
+            }
+            None => self.len += 1,
         }
-        if changed {
-            let trace_id = origin.as_ref().map_or(0, |o| o.trace_id);
-            // Provenance follows the value: only a *real* change
-            // re-attributes the knowgget (duplicated sync frames and
-            // idempotent re-writes leave it untouched).
-            match origin {
-                Some(o) => {
-                    self.attribution.insert(encoded.clone(), o);
-                }
-                None => {
-                    self.attribution.remove(&encoded);
-                }
-            }
-            self.entry_bytes += entry_bytes(&encoded, &wire);
-            if let Some(old) = self.entries.insert(encoded.clone(), wire) {
-                self.entry_bytes -= entry_bytes(&encoded, &old);
-            }
-            self.revision += 1;
-            if self.collective.contains(&encoded) {
-                self.dirty_collective.insert(encoded.clone());
-            }
-            let entity_tag = key.entity.as_ref().map(|e| e.as_str().to_owned());
-            self.changes.push(ChangeEvent {
-                key,
-                value,
-                removed: false,
-                trace_id,
-            });
-            // Entity-scoped knowledge is indexed under its entity so the
-            // per-entity budget can evict whole entities at once. The
-            // eviction (if any) happens *before* the new entity is
-            // indexed, so the purge can never touch the fresh write.
-            if let Some(entity) = entity_tag {
-                let evicted = {
-                    let (set, evicted) =
-                        self.entity_index.get_or_insert_with(&entity, BTreeSet::new);
-                    set.insert(encoded);
-                    evicted
-                };
-                if let Some((_, keys)) = evicted {
-                    self.purge_entity_keys(&keys);
-                }
-            }
-            self.note_churn();
+        if collective && !was_dirty {
+            self.dirty.insert(key.clone());
         }
+        let table = match creator {
+            None => &mut self.own,
+            Some(c) => {
+                let i = self.peer_index(c).unwrap_or_else(|i| {
+                    self.peers.insert(i, (c.clone(), Labels::new()));
+                    i
+                });
+                &mut self.peers[i].1
+            }
+        };
+        if !table.contains_key(label) {
+            table.insert(label.into(), Slot::default());
+        }
+        if let Some(slot) = table.get_mut(label) {
+            slot.put(key.entity.as_ref(), entry);
+        }
+        self.revision += 1;
+        // Entity-scoped knowledge is indexed under its entity so the
+        // per-entity budget can evict whole entities at once. The
+        // eviction (if any) happens *before* the new entity is indexed,
+        // so the purge can never touch the fresh write.
+        let evicted = key.entity.as_ref().and_then(|entity| {
+            let (keys, evicted) = self.entity_index.get_or_insert_with(entity, Vec::new);
+            if !keys.iter().any(|(c, l)| *c == key.creator && **l == *label) {
+                keys.push((key.creator.clone(), label.into()));
+            }
+            evicted
+        });
+        self.changes.push(ChangeEvent {
+            key,
+            value,
+            removed: false,
+            trace_id,
+        });
+        if let Some((entity, keys)) = evicted {
+            self.purge_entity(&entity, keys);
+        }
+        self.note_churn();
         true
     }
 
-    /// Remove every knowgget belonging to an entity evicted from the
-    /// bounded entity index. Each removal is a real change: modules see
-    /// removal events exactly as if the knowgget had expired normally.
-    fn purge_entity_keys(&mut self, keys: &BTreeSet<String>) {
-        for encoded in keys {
-            let Some(old) = self.entries.remove(encoded) else {
-                continue;
-            };
-            self.entry_bytes -= entry_bytes(encoded, &old);
-            self.revision += 1;
-            self.collective.remove(encoded);
-            self.dirty_collective.remove(encoded);
-            self.attribution.remove(encoded);
-            if let Ok(key) = encoded.parse::<KnowKey>() {
+    /// Take one entry out of the table, dropping an emptied slot or peer
+    /// table, and keep the running totals in step. Returns the removed
+    /// entry's key and canonical value.
+    fn unlink(
+        &mut self,
+        creator: Option<&KalisId>,
+        label: &str,
+        entity: Option<&Entity>,
+    ) -> Option<(KnowKey, KnowValue)> {
+        let table = self.table_mut(creator)?;
+        let slot = table.get_mut(label)?;
+        let entry = slot.take(entity)?;
+        let table_emptied = slot.is_empty() && {
+            table.remove(label);
+            table.is_empty()
+        };
+        if let Some(c) = creator.filter(|_| table_emptied) {
+            if let Ok(i) = self.peer_index(c) {
+                self.peers.remove(i);
+            }
+        }
+        let key = KnowKey {
+            creator: creator.unwrap_or(&self.local).clone(),
+            label: label.to_owned(),
+            entity: entity.cloned(),
+        };
+        self.len -= 1;
+        self.entry_bytes -= entry_bytes(&key.creator, label, entity, entry.wire_len);
+        self.revision += 1;
+        if entry.dirty {
+            self.dirty.remove(&key);
+        }
+        Some((key, entry.value))
+    }
+
+    /// Remove every knowgget about an entity evicted from the bounded
+    /// entity index, in encoded-key order. Each removal is a real
+    /// change: modules see removal events exactly as if the knowgget
+    /// had expired normally.
+    fn purge_entity(&mut self, entity: &Entity, mut keys: Vec<(KalisId, Box<str>)>) {
+        let about = Some(entity);
+        keys.sort_by(|a, b| {
+            creator_cmp(&a.0, &b.0).then_with(|| tail_cmp((&a.1, about), (&b.1, about)))
+        });
+        for (creator, label) in keys {
+            let creator = self.remote(&creator);
+            if let Some((key, value)) = self.unlink(creator, &label, about) {
                 self.changes.push(ChangeEvent {
                     key,
-                    value: KnowValue::from_wire(&old),
+                    value,
                     removed: true,
                     trace_id: 0,
                 });
@@ -288,21 +639,15 @@ impl KnowledgeBase {
         if budget == self.entity_index.budget() {
             return;
         }
-        let old: Vec<(String, BTreeSet<String>)> = self
-            .entity_index
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        let mut index = BoundedMap::new(budget);
+        let old = std::mem::replace(&mut self.entity_index, BoundedMap::new(budget));
         let mut purged = Vec::new();
-        for (entity, keys) in old {
-            if let Some((_, dropped)) = index.insert(entity, keys) {
+        for (entity, keys) in old.iter() {
+            if let Some(dropped) = self.entity_index.insert(entity.clone(), keys.clone()) {
                 purged.push(dropped);
             }
         }
-        self.entity_index = index;
-        for keys in purged {
-            self.purge_entity_keys(&keys);
+        for (entity, keys) in purged {
+            self.purge_entity(&entity, keys);
         }
         self.note_churn();
     }
@@ -364,124 +709,142 @@ impl KnowledgeBase {
     /// Write provenance for an encoded key (`creator$label@entity`), if
     /// any was recorded.
     pub fn origin_of_encoded(&self, encoded: &str) -> Option<&KnowggetOrigin> {
-        self.attribution.get(encoded)
+        self.origin_of(&encoded.parse().ok()?)
     }
 
     /// Write provenance for a key, if any was recorded.
     pub fn origin_of(&self, key: &KnowKey) -> Option<&KnowggetOrigin> {
-        self.attribution.get(&key.encode())
+        self.table(self.remote(&key.creator))?
+            .get(key.label.as_str())?
+            .get(key.entity.as_ref())?
+            .origin
+            .as_ref()
     }
 
     /// Insert or update a local network-level knowgget. Returns whether
     /// the stored value changed.
-    pub fn insert(&mut self, label: impl Into<String>, value: impl Into<KnowValue>) -> bool {
+    pub fn insert(&mut self, label: impl AsRef<str>, value: impl Into<KnowValue>) -> bool {
         self.note_insert();
-        let key = KnowKey::new(self.local.clone(), label);
-        let before = self.revision;
-        self.set_raw(key, value.into(), false);
-        self.revision != before
+        self.write(
+            None,
+            label.as_ref(),
+            None,
+            value.into(),
+            false,
+            Self::current_origin,
+        )
     }
 
     /// Insert or update a local entity-specific knowgget.
     pub fn insert_about(
         &mut self,
-        label: impl Into<String>,
+        label: impl AsRef<str>,
         entity: Entity,
         value: impl Into<KnowValue>,
     ) -> bool {
         self.note_insert();
-        let key = KnowKey::about(self.local.clone(), label, entity);
-        let before = self.revision;
-        self.set_raw(key, value.into(), false);
-        self.revision != before
+        let value = value.into();
+        self.write(
+            None,
+            label.as_ref(),
+            Some(entity),
+            value,
+            false,
+            Self::current_origin,
+        )
     }
 
     /// Insert a local knowgget **marked collective**: changes to it are
     /// shared with peer Kalis nodes (paper §IV-B3, Collective Knowledge).
     pub fn insert_collective(
         &mut self,
-        label: impl Into<String>,
+        label: impl AsRef<str>,
         value: impl Into<KnowValue>,
     ) -> bool {
         self.note_insert();
-        let key = KnowKey::new(self.local.clone(), label);
-        let before = self.revision;
-        self.set_raw(key, value.into(), true);
-        self.revision != before
+        self.write(
+            None,
+            label.as_ref(),
+            None,
+            value.into(),
+            true,
+            Self::current_origin,
+        )
     }
 
     /// Insert a collective entity-specific knowgget.
     pub fn insert_about_collective(
         &mut self,
-        label: impl Into<String>,
+        label: impl AsRef<str>,
         entity: Entity,
         value: impl Into<KnowValue>,
     ) -> bool {
         self.note_insert();
-        let key = KnowKey::about(self.local.clone(), label, entity);
-        let before = self.revision;
-        self.set_raw(key, value.into(), true);
-        self.revision != before
+        let value = value.into();
+        self.write(
+            None,
+            label.as_ref(),
+            Some(entity),
+            value,
+            true,
+            Self::current_origin,
+        )
     }
 
     /// Remove a local network-level knowgget.
     pub fn remove(&mut self, label: &str) -> bool {
         self.note_remove();
-        let key = KnowKey::new(self.local.clone(), label);
-        self.remove_key(key)
+        self.remove_local(label, None)
     }
 
     /// Remove a local entity-specific knowgget.
     pub fn remove_about(&mut self, label: &str, entity: &Entity) -> bool {
         self.note_remove();
-        let key = KnowKey::about(self.local.clone(), label, entity.clone());
-        self.remove_key(key)
+        self.remove_local(label, Some(entity))
     }
 
-    fn remove_key(&mut self, key: KnowKey) -> bool {
-        let encoded = key.encode();
-        if let Some(old) = self.entries.remove(&encoded) {
-            self.entry_bytes -= entry_bytes(&encoded, &old);
-            self.revision += 1;
-            self.collective.remove(&encoded);
-            self.dirty_collective.remove(&encoded);
-            self.attribution.remove(&encoded);
-            if let Some(entity) = key.entity.as_ref().map(|e| e.as_str().to_owned()) {
-                let emptied = self.entity_index.get_mut(&entity).is_some_and(|set| {
-                    set.remove(&encoded);
-                    set.is_empty()
-                });
-                if emptied {
-                    self.entity_index.remove(&entity);
-                }
-            }
-            self.changes.push(ChangeEvent {
-                key,
-                value: KnowValue::from_wire(&old),
-                removed: true,
-                trace_id: self.trace.0,
+    fn remove_local(&mut self, label: &str, entity: Option<&Entity>) -> bool {
+        let Some((key, value)) = self.unlink(None, label, entity) else {
+            return false;
+        };
+        if let Some(entity) = entity {
+            let emptied = self.entity_index.get_mut(entity).is_some_and(|keys| {
+                keys.retain(|(c, l)| !(*c == key.creator && **l == *label));
+                keys.is_empty()
             });
-            self.note_churn();
-            true
-        } else {
-            false
+            if emptied {
+                self.entity_index.remove(entity);
+            }
         }
+        self.changes.push(ChangeEvent {
+            key,
+            value,
+            removed: true,
+            trace_id: self.trace.0,
+        });
+        self.note_churn();
+        true
     }
 
     /// Look up a local network-level knowgget.
     pub fn get(&self, label: &str) -> Option<KnowValue> {
         self.note_get();
-        let key = KnowKey::new(self.local.clone(), label).encode();
-        self.entries.get(&key).map(|w| KnowValue::from_wire(w))
+        self.own
+            .get(label)?
+            .network
+            .as_ref()
+            .map(|e| e.value.clone())
     }
 
     /// Look up a local entity-specific knowgget.
     pub fn get_about(&self, label: &str, entity: &Entity) -> Option<KnowValue> {
         self.note_get();
-        let key = KnowKey::about(self.local.clone(), label, entity.clone()).encode();
-        self.entries.get(&key).map(|w| KnowValue::from_wire(w))
+        self.own
+            .get(label)?
+            .about
+            .get(entity)
+            .map(|e| e.value.clone())
     }
-
     /// Typed lookup: boolean.
     pub fn get_bool(&self, label: &str) -> Option<bool> {
         self.get(label)?.as_bool()
@@ -507,28 +870,33 @@ impl KnowledgeBase {
     /// changes in signal strength for specific devices").
     pub fn get_all_creators(&self, label: &str) -> Vec<(KalisId, Option<Entity>, KnowValue)> {
         self.note_get();
-        self.entries
-            .iter()
-            .filter_map(|(k, w)| {
-                let key: KnowKey = k.parse().ok()?;
-                (key.label == label).then(|| (key.creator, key.entity, KnowValue::from_wire(w)))
-            })
-            .collect()
+        let mut out = Vec::new();
+        for (creator, table) in self.tables() {
+            if let Some(slot) = table.get(label) {
+                out.extend(
+                    slot.entries()
+                        .map(|(e, entry)| (creator.clone(), e.cloned(), entry.value.clone())),
+                );
+            }
+        }
+        out
     }
 
     /// Every local knowgget whose label starts with `root.` (the
     /// sub-knowggets of a multilevel knowgget), as `(sub-label, value)`.
     pub fn sublabels(&self, root: &str) -> Vec<(String, KnowValue)> {
         self.note_get();
-        let prefix = format!("{}${}.", self.local, root);
-        self.entries
-            .range(prefix.clone()..)
-            .take_while(|(k, _)| k.starts_with(&prefix))
-            .map(|(k, w)| {
-                let rest = &k[prefix.len()..];
-                let sub = rest.split('@').next().unwrap_or(rest).to_owned();
-                (sub, KnowValue::from_wire(w))
-            })
+        let prefix = format!("{root}.");
+        let mut members: Vec<(&str, Option<&Entity>, &Entry)> = self
+            .own
+            .range::<str, _>((Bound::Included(prefix.as_str()), Bound::Unbounded))
+            .take_while(|(label, _)| label.starts_with(&prefix))
+            .flat_map(|(label, slot)| slot.entries().map(move |(e, entry)| (&**label, e, entry)))
+            .collect();
+        members.sort_by(|a, b| tail_cmp((a.0, a.1), (b.0, b.1)));
+        members
+            .into_iter()
+            .map(|(label, _, entry)| (label[prefix.len()..].to_owned(), entry.value.clone()))
             .collect()
     }
 
@@ -536,45 +904,33 @@ impl KnowledgeBase {
     /// — the suffix query of the paper.
     pub fn entities_with(&self, label: &str) -> Vec<(Entity, KnowValue)> {
         self.note_get();
-        let prefix = format!("{}${}@", self.local, label);
-        self.entries
-            .range(prefix.clone()..)
-            .take_while(|(k, _)| k.starts_with(&prefix))
-            .map(|(k, w)| {
-                (
-                    Entity::new(k[prefix.len()..].to_owned()),
-                    KnowValue::from_wire(w),
-                )
-            })
-            .collect()
+        self.own.get(label).map_or_else(Vec::new, |slot| {
+            slot.about
+                .iter()
+                .map(|(e, entry)| (e.clone(), entry.value.clone()))
+                .collect()
+        })
     }
 
-    /// Iterate over every entry as decoded knowggets.
+    /// Iterate over every entry as decoded knowggets, in encoded-key
+    /// order.
     pub fn iter(&self) -> impl Iterator<Item = Knowgget> + '_ {
-        self.entries.iter().filter_map(|(k, w)| {
-            let key: KnowKey = k.parse().ok()?;
-            Some(Knowgget {
-                label: key.label,
-                value: KnowValue::from_wire(w),
-                creator: key.creator,
-                entity: key.entity,
-                origin: self.attribution.get(k).cloned(),
-            })
-        })
+        self.sorted().into_iter().map(knowgget)
     }
 
     /// Number of knowggets stored.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
-    /// Rough live-memory footprint (the RAM-usage proxy for experiments).
-    /// O(1): the total is maintained as entries change.
+    /// Rough live-memory footprint (the RAM-usage proxy for experiments):
+    /// each entry is charged its encoded key, its wire text and 48
+    /// bytes. O(1): the total is maintained as entries change.
     pub fn state_bytes(&self) -> usize {
         self.entry_bytes
     }
@@ -592,40 +948,37 @@ impl KnowledgeBase {
     /// Drain the collective knowggets that changed since the last call —
     /// the outbox of the synchronization mechanism.
     pub fn drain_dirty_collective(&mut self) -> Vec<Knowgget> {
-        let dirty = std::mem::take(&mut self.dirty_collective);
-        dirty
+        let dirty = std::mem::take(&mut self.dirty);
+        let mut out: Vec<Knowgget> = dirty
             .into_iter()
-            .filter_map(|encoded| {
-                let key: KnowKey = encoded.parse().ok()?;
-                let wire = self.entries.get(&encoded)?;
+            .filter_map(|key| {
+                let creator = self.remote(&key.creator);
+                let entry = self
+                    .table_mut(creator)?
+                    .get_mut(key.label.as_str())?
+                    .get_mut(key.entity.as_ref())?;
+                entry.dirty = false;
                 Some(Knowgget {
+                    value: entry.value.clone(),
+                    origin: entry.origin.clone(),
                     label: key.label,
-                    value: KnowValue::from_wire(wire),
                     creator: key.creator,
                     entity: key.entity,
-                    origin: self.attribution.get(&encoded).cloned(),
                 })
             })
-            .collect()
+            .collect();
+        out.sort_by(key_cmp);
+        out
     }
 
     /// Every knowgget currently marked collective, regardless of dirty
     /// state — the full-state payload sent when a recovered peer needs a
     /// complete re-sync.
     pub fn collective_knowggets(&self) -> Vec<Knowgget> {
-        self.collective
-            .iter()
-            .filter_map(|encoded| {
-                let key: KnowKey = encoded.parse().ok()?;
-                let wire = self.entries.get(encoded)?;
-                Some(Knowgget {
-                    label: key.label,
-                    value: KnowValue::from_wire(wire),
-                    creator: key.creator,
-                    entity: key.entity,
-                    origin: self.attribution.get(encoded).cloned(),
-                })
-            })
+        self.sorted()
+            .into_iter()
+            .filter(|(.., entry)| entry.collective)
+            .map(knowgget)
             .collect()
     }
 
@@ -650,13 +1003,17 @@ impl KnowledgeBase {
         if knowgget.creator == self.local {
             return Err("peer attempted to overwrite local knowledge".to_owned());
         }
-        let key = knowgget.key();
-        let before = self.revision;
+        let Knowgget {
+            label,
+            value,
+            creator,
+            entity,
+            origin,
+        } = knowgget;
         // A remote knowgget carries its own provenance (or none, for
         // peers predating the provenance wire extension) — never the
         // local ambient writer.
-        self.set_raw_with_origin(key, knowgget.value, false, knowgget.origin);
-        Ok(self.revision != before)
+        Ok(self.write(Some(&creator), &label, entity, value, false, |_| origin))
     }
 }
 
@@ -964,9 +1321,32 @@ mod tests {
         assert_eq!(r1, r2);
     }
 
+    /// The stored entries as a string-keyed store holds them: encoded
+    /// key → wire text.
+    fn wire_map(kb: &KnowledgeBase) -> BTreeMap<String, String> {
+        kb.sorted()
+            .into_iter()
+            .map(|(creator, label, entity, entry)| {
+                let key = KnowKey {
+                    creator: creator.clone(),
+                    label: label.to_owned(),
+                    entity: entity.cloned(),
+                };
+                let wire = entry
+                    .raw
+                    .as_deref()
+                    .map_or_else(|| entry.value.to_wire(), str::to_owned);
+                (key.encode(), wire)
+            })
+            .collect()
+    }
+
     /// The state charge a fresh walk over the stored entries gives.
     fn walked_state_bytes(kb: &KnowledgeBase) -> usize {
-        kb.entries.iter().map(|(k, v)| entry_bytes(k, v)).sum()
+        wire_map(kb)
+            .iter()
+            .map(|(k, v)| k.len() + v.len() + 48)
+            .sum()
     }
 
     proptest::proptest! {
@@ -1036,7 +1416,7 @@ mod tests {
             for (i, (op, label, entity, n)) in ops.into_iter().enumerate() {
                 if i == split {
                     kb.drain_changes();
-                    snapshot = Some(kb.entries.clone());
+                    snapshot = Some(wire_map(&kb));
                 }
                 let label = ["Multihop", "A", "SignalStrength", "TrafficFrequency.UDP", "X", "Mobile"]
                     [usize::from(label)];
@@ -1082,7 +1462,7 @@ mod tests {
                     replayed.insert(encoded, change.value.to_wire());
                 }
             }
-            proptest::prop_assert_eq!(&replayed, &kb.entries);
+            proptest::prop_assert_eq!(&replayed, &wire_map(&kb));
         }
     }
 }

@@ -6,6 +6,8 @@ mod base;
 mod collective;
 mod key;
 mod peers;
+#[cfg(test)]
+mod reference;
 mod sync;
 mod value;
 

@@ -38,20 +38,74 @@ pub enum KnowValue {
 impl KnowValue {
     /// The canonical string form (what the paper stores).
     pub fn to_wire(&self) -> String {
-        match self {
-            KnowValue::Bool(b) => b.to_string(),
-            KnowValue::Int(i) => i.to_string(),
-            KnowValue::Float(x) => {
-                // Integral floats print without a trailing `.0` so the wire
-                // form is stable across type reinterpretation.
-                if x.fract() == 0.0 && x.is_finite() && x.abs() < 1e15 {
-                    format!("{}", *x as i64)
-                } else {
-                    format!("{x}")
-                }
-            }
-            KnowValue::Text(s) => s.clone(),
+        if let KnowValue::Text(s) = self {
+            return s.clone();
         }
+        let mut wire = String::new();
+        // Writing into a `String` cannot fail.
+        let _ = self.write_wire(&mut wire);
+        wire
+    }
+
+    /// Stream the wire form into `out`: the one definition of the
+    /// string form, shared by [`KnowValue::to_wire`] and the
+    /// allocation-free comparisons the Knowledge Base makes on every
+    /// write.
+    pub(crate) fn write_wire(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        match self {
+            KnowValue::Bool(b) => write!(out, "{b}"),
+            KnowValue::Int(i) => write!(out, "{i}"),
+            KnowValue::Float(x) => match short_integral(*x) {
+                // Integral floats print without a trailing `.0` so the
+                // wire form is stable across type reinterpretation.
+                Some(i) => write!(out, "{i}"),
+                None => write!(out, "{x}"),
+            },
+            KnowValue::Text(s) => out.write_str(s),
+        }
+    }
+
+    /// Whether the wire form is exactly `wire`, without building it.
+    pub(crate) fn wire_eq_str(&self, wire: &str) -> bool {
+        if let KnowValue::Text(s) = self {
+            return s == wire;
+        }
+        let mut rest = WireMatch(wire);
+        self.write_wire(&mut rest).is_ok() && rest.0.is_empty()
+    }
+
+    /// Whether two values have the same wire form (`Float(3.0)` and
+    /// `Int(3)` do; two `NaN`s do; `Text("1.50")` and `Float(1.5)` do
+    /// not), without building either.
+    pub(crate) fn wire_eq(&self, other: &KnowValue) -> bool {
+        use KnowValue::{Bool, Float, Int, Text};
+        match (self, other) {
+            (Text(s), v) | (v, Text(s)) => v.wire_eq_str(s),
+            (Bool(a), Bool(b)) => a == b,
+            (Bool(_), _) | (_, Bool(_)) => false,
+            (Int(a), Int(b)) => a == b,
+            // A float prints the shortest text that parses back to it,
+            // so two floats print alike only when equal (`-0` and `0`
+            // both print `0`) or both `NaN`.
+            (Float(a), Float(b)) => a == b || (a.is_nan() && b.is_nan()),
+            (Int(i), Float(x)) | (Float(x), Int(i)) => match short_integral(*x) {
+                Some(j) => *i == j,
+                // A whole float past the short form prints its own
+                // digits, which may still be an integer's text.
+                None if x.fract() == 0.0 => Float(*x).wire_eq_str(&i.to_string()),
+                None => false,
+            },
+        }
+    }
+
+    /// Length of the wire form in bytes, without building it.
+    pub(crate) fn wire_len(&self) -> usize {
+        if let KnowValue::Text(s) = self {
+            return s.len();
+        }
+        let mut len = WireLen(0);
+        let _ = self.write_wire(&mut len);
+        len.0
     }
 
     /// Parse a wire string into the most specific type that fits
@@ -106,7 +160,34 @@ impl KnowValue {
 
 impl fmt::Display for KnowValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_wire())
+        self.write_wire(f)
+    }
+}
+
+/// The integer an integral float prints as on the wire: finite, whole
+/// and below 1e15 in magnitude (larger floats keep their own form).
+fn short_integral(x: f64) -> Option<i64> {
+    (x.fract() == 0.0 && x.is_finite() && x.abs() < 1e15).then_some(x as i64)
+}
+
+/// A `fmt::Write` sink that consumes a target string as long as the
+/// written text matches it, and fails at the first difference.
+struct WireMatch<'a>(&'a str);
+
+impl fmt::Write for WireMatch<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = self.0.strip_prefix(s).ok_or(fmt::Error)?;
+        Ok(())
+    }
+}
+
+/// A `fmt::Write` sink that only counts bytes.
+struct WireLen(usize);
+
+impl fmt::Write for WireLen {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
     }
 }
 
@@ -181,5 +262,72 @@ mod tests {
     fn text_never_fails() {
         assert_eq!(KnowValue::Bool(true).as_text(), "true");
         assert_eq!(KnowValue::Text("x y".into()).as_text(), "x y");
+    }
+
+    #[test]
+    fn wire_equality_is_text_equality() {
+        assert!(KnowValue::Float(3.0).wire_eq(&KnowValue::Int(3)));
+        assert!(KnowValue::Float(f64::NAN).wire_eq(&KnowValue::Float(f64::NAN)));
+        assert!(KnowValue::Float(-0.0).wire_eq(&KnowValue::Int(0)));
+        assert!(!KnowValue::Text("1.50".into()).wire_eq(&KnowValue::Float(1.5)));
+        assert!(KnowValue::Text("1.5".into()).wire_eq(&KnowValue::Float(1.5)));
+        assert!(KnowValue::Float(1e15).wire_eq(&KnowValue::Int(1_000_000_000_000_000)));
+        assert!(KnowValue::Float(1e300).wire_eq(&KnowValue::Float(1e300)));
+        assert!(!KnowValue::Float(f64::INFINITY).wire_eq(&KnowValue::Int(0)));
+        // A whole float past the short form prints its shortest digits.
+        let big = KnowValue::Float(2f64.powi(60));
+        let digits: i64 = big.to_wire().parse().expect("integer digits");
+        assert!(big.wire_eq(&KnowValue::Int(digits)));
+        assert_eq!(
+            big.wire_eq(&KnowValue::Int(1 << 60)),
+            big.to_wire() == (1i64 << 60).to_string()
+        );
+    }
+
+    fn value() -> impl proptest::strategy::Strategy<Value = KnowValue> {
+        use proptest::prelude::*;
+        let special = prop_oneof![
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(-0.0),
+            Just(0.0),
+            Just(1e15),
+            Just(1e300),
+            Just(1.5),
+        ];
+        prop_oneof![
+            any::<bool>().prop_map(KnowValue::Bool),
+            (-3i64..3).prop_map(KnowValue::Int),
+            any::<i64>().prop_map(KnowValue::Int),
+            (-3i64..3).prop_map(|i| KnowValue::Float(i as f64)),
+            special.prop_map(KnowValue::Float),
+            any::<f64>().prop_map(KnowValue::Float),
+            prop_oneof![
+                Just("1.50"),
+                Just("1.5"),
+                Just("007"),
+                Just("7"),
+                Just("true"),
+                Just("NaN"),
+                Just("0"),
+                Just(""),
+                Just("x,y"),
+            ]
+            .prop_map(|s| KnowValue::Text(s.to_owned())),
+        ]
+    }
+
+    proptest::proptest! {
+        /// The allocation-free comparisons and length agree with the
+        /// built wire text for every pair of values.
+        #[test]
+        fn wire_helpers_agree_with_to_wire(a in value(), b in value()) {
+            let (wa, wb) = (a.to_wire(), b.to_wire());
+            proptest::prop_assert_eq!(a.wire_eq(&b), wa == wb);
+            proptest::prop_assert_eq!(b.wire_eq(&a), wa == wb);
+            proptest::prop_assert_eq!(a.wire_eq_str(&wb), wa == wb);
+            proptest::prop_assert_eq!(a.wire_len(), wa.len());
+            proptest::prop_assert_eq!(a.to_string(), wa);
+        }
     }
 }

@@ -1020,6 +1020,16 @@ impl ModuleManager {
             .collect()
     }
 
+    /// Each loaded module's cumulative bounded-state evictions, in load
+    /// order: the one field of [`ModuleManager::module_profiles`] the
+    /// node reads at tick cadence, without walking module state for the
+    /// rest.
+    pub fn module_evictions(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        self.slots
+            .iter()
+            .map(|s| (s.module.descriptor().name, s.module.evictions()))
+    }
+
     /// Refresh the per-module `module.occupancy` and `module.work_units`
     /// gauges from live module state. Called at tick cadence by the ops
     /// profiler — occupancy needs a walk over module maps, so it stays

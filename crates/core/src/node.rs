@@ -933,10 +933,9 @@ impl Kalis {
     fn journal_state_evictions(&mut self, now: Timestamp) {
         let mut totals: Vec<(String, u64)> = self
             .manager
-            .module_profiles()
-            .iter()
-            .filter(|p| p.evictions > 0)
-            .map(|p| (format!("module:{}", p.name), p.evictions))
+            .module_evictions()
+            .filter(|&(_, evictions)| evictions > 0)
+            .map(|(name, evictions)| (format!("module:{name}"), evictions))
             .collect();
         let kb_evictions = self.kb.entity_evictions();
         if kb_evictions > 0 {
@@ -959,9 +958,8 @@ impl Kalis {
     /// state-exhaustion trigger signal.
     fn total_evictions(&self) -> u64 {
         self.manager
-            .module_profiles()
-            .iter()
-            .map(|p| p.evictions)
+            .module_evictions()
+            .map(|(_, evictions)| evictions)
             .sum::<u64>()
             + self.kb.entity_evictions()
     }

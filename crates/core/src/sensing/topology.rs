@@ -116,10 +116,11 @@ impl Module for TopologyDiscoveryModule {
         let Some(pkt) = packet.decoded() else { return };
 
         if let Some(tx) = pkt.transmitter() {
-            let key = tx.as_str().to_owned();
-            if self.transmitters.get_mut(&key).is_none() {
-                self.transmitter_bytes += transmitter_bytes(&key);
-                if let Some((evicted, ())) = self.transmitters.insert(key, ()) {
+            // A known transmitter is only touched; only a new one is
+            // allocated a key.
+            if self.transmitters.get_mut(tx.as_str()).is_none() {
+                self.transmitter_bytes += transmitter_bytes(tx.as_str());
+                if let Some((evicted, ())) = self.transmitters.insert(tx.as_str().to_owned(), ()) {
                     self.transmitter_bytes -= transmitter_bytes(&evicted);
                 }
                 ctx.kb
